@@ -2,7 +2,8 @@
 
 Covers the algebraic law checks (orthonormality, closure, Jacobi
 identities, trace products), Bloch vectors, phase-space representatives
-of each generator, and the closed-form Wigner functions built on them.
+of each generator, the four-level cell-operator stack built from them,
+and the qubit and four-level phase-space grids.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import schwinger_pair, _unitary_power
+from .kernel import MappingKernel, _unitary_power, schwinger_pair, wigner_grid
 from .linalg import DEFAULT_TOLERANCE, matrix_of
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -362,28 +363,38 @@ def _representative_table(dim: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def su4_kernel() -> MappingKernel:
+    """Cell operators I/4 + (1/2) sum_i R_i(mu, nu) g_i of the four-level closed form.
+
+    R_i is the closed-form representative of generator i.  Every operator
+    is Hermitian with unit trace, but the family is not trace-orthogonal:
+    its span has dimension 12 of 16 (see ``wigner_su4``).
+    """
+    ops = np.eye(4) / 4.0 + 0.5 * np.einsum(
+        "imn,iab->mnab", _representative_table(4), generators(4).stack()
+    )
+    ops.flags.writeable = False
+    return MappingKernel(dim=4, ops=ops)
+
+
 def wigner_su2(p) -> np.ndarray:
-    """2x2 phase-space grid of a qubit state given its polarization vector."""
+    """2x2 phase-space grid of a qubit state given its polarization vector.
+
+    The grid is ``wigner_grid`` of I/2 + (1/2) p . sigma: at n = 2 the
+    phase-point kernel is the qubit convention.
+    """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"expected a 3-component polarization vector, got shape {p.shape}")
     norm_sq = float(p @ p)
     if norm_sq > 1.0 + DEFAULT_TOLERANCE:
         raise ValueError(f"polarization vector lies outside the unit ball: |P|^2 = {norm_sq}")
-    grid = np.empty((2, 2))
-    for mu in range(2):
-        for nu in range(2):
-            grid[mu, nu] = 0.5 * (
-                1.0
-                + _alternating(nu) * p[0]
-                + _alternating(mu + nu + 1) * p[1]
-                + _alternating(mu) * p[2]
-            )
-    return grid
+    return wigner_grid(density_from_bloch(p, 2))
 
 
 def wigner_su4(rho) -> np.ndarray:
-    """4x4 phase-space grid of a four-level state, in closed form.
+    """4x4 phase-space grid of a four-level state, Tr[A(mu, nu) rho] over ``su4_kernel()``.
 
     Agrees with the kernel-trace evaluation Tr[G†(mu, nu) rho] of
     ``kernel(4)`` on diagonal states, and for every state both grids have
@@ -394,8 +405,4 @@ def wigner_su4(rho) -> np.ndarray:
     Im(rho[0,3] + rho[1,2]).  See the README section "Two conventions for
     dimension 4".
     """
-    a = matrix_of(rho)
-    if a.shape[0] != 4:
-        raise ValueError(f"dimension must be 4, got {a.shape[0]}")
-    means = bloch_vector(a)
-    return 0.25 + 0.5 * np.einsum("i,imn->mn", means, _representative_table(4))
+    return wigner_grid(rho, su4_kernel())

@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 
+from .kernel import _check_grid
+
 GRID_FORMATS = ("csv", "json", "gnuplot")
 
 
@@ -32,7 +34,8 @@ def parse_matrix(text) -> np.ndarray:
     """Parse the JSON matrix format back into a complex ndarray.
 
     Reports malformed syntax with line/column positions, ragged rows with
-    the offending row index, and dimension mismatches with both sizes.
+    the offending row index, and dimension mismatches with both sizes;
+    rejects a non-integer (or boolean) dimension and non-finite entries.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -46,7 +49,7 @@ def parse_matrix(text) -> np.ndarray:
         if key not in doc:
             raise ValueError(f"matrix file is missing required field {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"field 'dim' must be a positive integer, got {dim!r}")
     parts = {}
     for key in ("re", "im"):
@@ -61,21 +64,14 @@ def parse_matrix(text) -> np.ndarray:
                     f"entries, expected {dim}"
                 )
         parts[key] = np.array(rows, dtype=float)
+        if not np.all(np.isfinite(parts[key])):
+            raise ValueError(f"field {key!r} has non-finite entries")
     return parts["re"] + 1j * parts["im"]
 
 
 def _grid_rows(values: np.ndarray):
     for index in np.ndindex(values.shape):
         yield index, values[index]
-
-
-def _check_grid(values) -> np.ndarray:
-    w = np.asarray(values, dtype=float)
-    if w.ndim == 2 and w.shape[0] == w.shape[1]:
-        return w
-    if w.ndim == 4 and w.shape == (2, 2, 2, 2):
-        return w
-    raise ValueError(f"expected an N x N grid or a 2x2x2x2 pair grid, got shape {w.shape}")
 
 
 def _columns(w: np.ndarray) -> list[str]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import matrix_of
+from .linalg import DensityMatrix, hermiticity_defect, matrix_of
 
 REALNESS_TOLERANCE = 1e-10
 
@@ -89,19 +89,20 @@ def hermitizing_phase(eta: int, xi: int, n: int) -> complex:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MappingKernel:
-    """Phase-point operators indexed by (mu, nu) on the n x n grid.
+    """Stack of n x n cell operators, one per point of a phase-space grid.
 
-    Every operator has unit trace, the family is trace-orthogonal with
-    normalization Tr[G†(p) G(q)] = n * delta(p, q), and the average over
-    all points is the identity.
+    The grid may have any shape; ``ops[p]`` is the operator of point p.
+    For ``kernel(n)`` the grid is n x n, every operator has unit trace,
+    the family is trace-orthogonal with normalization
+    Tr[G†(p) G(q)] = n * delta(p, q), and the average over all points is
+    the identity.
     """
 
     dim: int
-    ops: np.ndarray  # shape (n, n, n, n); ops[mu, nu] is one operator
+    ops: np.ndarray  # shape (*grid, n, n)
 
     def __getitem__(self, key) -> np.ndarray:
-        mu, nu = key
-        return self.ops[mu, nu]
+        return self.ops[key]
 
 
 @lru_cache(maxsize=None)
@@ -128,24 +129,32 @@ def kernel(n: int) -> MappingKernel:
 
 
 def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
-    """Phase-space values W(mu, nu) = Tr[G†(mu, nu) rho] as a real grid.
+    """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
-    For a density matrix the grid satisfies (1/n) sum W = 1.  A residual
-    imaginary part above 1e-10 signals a non-Hermitian input or a kernel
-    of the wrong dimension and raises instead of being discarded.
+    ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
+    density matrix.  A residual imaginary part above 1e-10 signals a
+    non-Hermitian input or a kernel of the wrong dimension and raises
+    instead of being discarded.  A raw array must also be Hermitian to
+    1e-10, since a kernel that is not informationally complete cannot
+    see every anti-Hermitian direction; a DensityMatrix was checked at
+    its own tolerance when it was validated.
     """
     a = matrix_of(rho)
     if kern is None:
         kern = kernel(a.shape[0])
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
-    values = np.einsum("mnij,ij->mn", kern.ops.conj(), a)
+    values = np.einsum("...ij,ij->...", kern.ops.conj(), a)
     residue = float(np.max(np.abs(values.imag)))
     if residue > REALNESS_TOLERANCE:
         raise ValueError(
             f"phase-space values have imaginary residue {residue:.3e}; "
             "input matrix is not Hermitian or does not match the kernel"
         )
+    if not isinstance(rho, DensityMatrix):
+        defect = hermiticity_defect(a)
+        if defect > REALNESS_TOLERANCE:
+            raise ValueError(f"input matrix is not Hermitian: max asymmetry {defect:.3e}")
     return values.real
 
 
@@ -161,14 +170,24 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     return np.einsum("mn,mnij->ij", w, kern.ops) / kern.dim
 
 
+def _check_grid(values) -> np.ndarray:
+    w = np.asarray(values, dtype=float)
+    if w.ndim == 2 and w.shape[0] == w.shape[1]:
+        return w
+    if w.shape == (2, 2, 2, 2):
+        return w
+    raise ValueError(f"expected an N x N grid or a 2x2x2x2 pair grid, got shape {w.shape}")
+
+
 def grid_overlap(wa, wb) -> float:
     """Tr[rho sigma] recovered from two phase-space grids.
 
-    Works for both single grids (n x n) and pair grids (2 x 2 x 2 x 2);
-    the normalization is 1/sqrt(number of cells).
+    Works for both single grids (n x n) and pair grids (2 x 2 x 2 x 2),
+    and rejects any other shape; the normalization is 1/sqrt(number of
+    cells).
     """
-    a = np.asarray(wa, dtype=float)
-    b = np.asarray(wb, dtype=float)
+    a = _check_grid(wa)
+    b = _check_grid(wb)
     if a.shape != b.shape:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
     weight = round(a.size**0.5)

@@ -1,9 +1,10 @@
 """Named two-qubit and four-level state families.
 
-Constructors and closed-form phase-space functions for the maximally
-entangled pair states, Werner mixtures, general X-form states, the
-maximal-concurrence family, and the Peres-Horodecki and Gisin families,
-together with marginals and the correlation signature on the 4x4 grid.
+Constructors and phase-space grids for the maximally entangled pair
+states, Werner mixtures, general X-form states, the maximal-concurrence
+family, and the Peres-Horodecki and Gisin families, together with
+marginals and the correlation signature on the 4x4 grid.  Every grid is
+``wigner_grid`` over the pair or the four-level cell-operator stack.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ import dataclasses
 
 import numpy as np
 
-from .generators import _alternating, _cos_half, _delta4, _mu_ratio, _sin_half
+from .generators import su4_kernel, wigner_su4
+from .kernel import MappingKernel, wigner_grid
 from .linalg import DEFAULT_TOLERANCE, DensityMatrix, matrix_of, validate_density
-from .twoqubit import FanoCoefficients, _gamma_cross, _gamma_diagonal
+from .twoqubit import FanoCoefficients, _half_sum, fano_matrix, pair_kernel
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
-
-_ANTIDIAGONAL_WEIGHT = np.sqrt(2.0 - np.sqrt(2.0))  # coherence weight in the nu marginal
 
 
 def _bell_sign(kind: str) -> tuple[str, float]:
@@ -51,43 +51,21 @@ def bell_fano(kind: str) -> FanoCoefficients:
 
 
 def bell_wigner_pair(kind: str) -> np.ndarray:
-    """Closed-form pair grid; every cell equals +1/2 or -1/2."""
-    family, sign = _bell_sign(kind)
-    grid = np.empty((2, 2, 2, 2))
-    for mu1 in range(2):
-        for nu1 in range(2):
-            for mu2 in range(2):
-                for nu2 in range(2):
-                    sm = (-1.0) ** (mu1 + mu2)
-                    sn = (-1.0) ** (nu1 + nu2)
-                    if family == "psi":
-                        value = 1.0 - sm + sign * sn * (1.0 + sm)
-                    else:
-                        value = 1.0 + sm + sign * sn * (1.0 - sm)
-                    grid[mu1, nu1, mu2, nu2] = value / 4.0
-    return grid
-
-
-def _diagonal_parity(mu: int) -> float:
-    return _delta4(mu, 0) - _delta4(mu, 1) - _delta4(mu, 2) + _delta4(mu, 3)
+    """Pair grid of a maximally entangled state; every cell equals +1/2 or -1/2."""
+    return wigner_grid(bell(kind), pair_kernel())
 
 
 def bell_wigner_su4(kind: str) -> np.ndarray:
-    """Closed-form 4x4 grid of a maximally entangled state."""
-    family, sign = _bell_sign(kind)
-    grid = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            ripple = _mu_ratio(mu, 1.5) * _cos_half(nu)
-            if family == "psi":
-                grid[mu, nu] = 0.25 - 0.25 * _diagonal_parity(mu) + sign * 0.25 * ripple
-            else:
-                grid[mu, nu] = (
-                    0.25
-                    + 0.25 * _diagonal_parity(mu)
-                    + sign * 0.25 * _alternating(nu) * ripple
-                )
-    return grid
+    """4x4 grid of a maximally entangled state."""
+    return wigner_su4(bell(kind))
+
+
+def _rep_kernel(rep: str) -> MappingKernel:
+    if rep == "pair":
+        return pair_kernel()
+    if rep == "su4":
+        return su4_kernel()
+    raise ValueError(f"unknown representation tag {rep!r}; expected 'pair' or 'su4'")
 
 
 def werner(fraction: float) -> np.ndarray:
@@ -95,58 +73,25 @@ def werner(fraction: float) -> np.ndarray:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"mixing fraction must lie in [0, 1], got {fraction}")
     q = (1.0 - 4.0 * fraction) / 3.0
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    rho = np.eye(4, dtype=complex)
-    for s in (sx, sy, sz):
-        rho += q * np.kron(s, s)
-    return rho / 4.0
+    return fano_matrix(FanoCoefficients(a=np.zeros(3), b=np.zeros(3), c=q * np.eye(3)))
 
 
 def werner_wigner(fraction: float, rep: str = "pair") -> np.ndarray:
-    """Closed-form grid of the Werner family in either representation.
+    """Grid of the Werner family in either representation.
 
     ``rep="pair"`` returns the 16-point grid, which takes exactly the two
     values 1/6 + fraction/3 and 1/2 - fraction; ``rep="su4"`` returns the
     4x4 grid of the corresponding four-level state.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"mixing fraction must lie in [0, 1], got {fraction}")
-    q = (1.0 - 4.0 * fraction) / 3.0
-    if rep == "pair":
-        grid = np.empty((2, 2, 2, 2))
-        for mu1 in range(2):
-            for nu1 in range(2):
-                for mu2 in range(2):
-                    for nu2 in range(2):
-                        grid[mu1, nu1, mu2, nu2] = 0.25 * (
-                            1.0
-                            + q
-                            * (
-                                (-1.0) ** (mu1 + mu2)
-                                + (-1.0) ** (mu1 + nu1 + mu2 + nu2)
-                                + (-1.0) ** (nu1 + nu2)
-                            )
-                        )
-        return grid
-    if rep == "su4":
-        grid = np.empty((4, 4))
-        for mu in range(4):
-            for nu in range(4):
-                grid[mu, nu] = 0.25 + (q / 4.0) * (
-                    _diagonal_parity(mu) + _mu_ratio(mu, 1.5) * _cos_half(nu)
-                )
-        return grid
-    raise ValueError(f"unknown representation tag {rep!r}; expected 'pair' or 'su4'")
+    return wigner_grid(werner(fraction), _rep_kernel(rep))
 
 
 @dataclasses.dataclass(frozen=True)
 class XState:
     """State whose matrix is supported on the main diagonal and antidiagonal.
 
-    Construction checks that the populations are nonnegative and sum to
-    one.  The antidiagonal 2x2 blocks are only required to be positive
+    Construction checks that every field is finite and that the
+    populations are nonnegative and sum to one.  The antidiagonal 2x2 blocks are only required to be positive
     when converting to a validated density matrix, so coherence choices
     outside the state space stay representable for exploratory use.
     """
@@ -159,6 +104,9 @@ class XState:
     rho23: complex = 0.0
 
     def __post_init__(self):
+        fields = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
+        if not np.all(np.isfinite(np.array(fields, dtype=complex))):
+            raise ValueError(f"X-state fields must be finite, got {fields}")
         populations = self.populations
         for label, p in zip(("rho11", "rho22", "rho33", "rho44"), populations):
             if p < -DEFAULT_TOLERANCE:
@@ -211,65 +159,22 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
 
 def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
     """Phase-space grid of an X-form state in either representation."""
-    if rep == "pair":
-        m = x.matrix()
-        grid = np.empty((2, 2, 2, 2))
-        for mu1 in range(2):
-            for mu2 in range(2):
-                diag = _gamma_diagonal(m, mu1, mu2)
-                g14, g23 = _gamma_cross(m, mu1, mu2)
-                for nu1 in range(2):
-                    for nu2 in range(2):
-                        grid[mu1, nu1, mu2, nu2] = 0.25 * (
-                            1.0 + diag + 2.0 * (-1.0) ** (nu1 + nu2) * (g14 + g23)
-                        )
-        return grid
-    if rep == "su4":
-        grid = np.empty((4, 4))
-        for mu in range(4):
-            base = _population_term(x, mu)
-            ripple = 0.5 * _mu_ratio(mu, 1.5)
-            for nu in range(4):
-                grid[mu, nu] = base + ripple * (
-                    _cos_half(nu)
-                    * (x.rho23.real + _alternating(nu) * x.rho14.real)
-                    - _sin_half(nu)
-                    * (x.rho23.imag + _alternating(nu) * x.rho14.imag)
-                )
-        return grid
-    raise ValueError(f"unknown representation tag {rep!r}; expected 'pair' or 'su4'")
-
-
-def _population_term(x: XState, mu: int) -> float:
-    return (
-        0.25
-        + 0.25 * (3 * _delta4(mu, 0) - _delta4(mu, 1) - _delta4(mu, 2) - _delta4(mu, 3)) * x.rho11
-        - 0.25 * (_delta4(mu, 0) - 3 * _delta4(mu, 1) + _delta4(mu, 2) + _delta4(mu, 3)) * x.rho22
-        - 0.25 * (_delta4(mu, 0) + _delta4(mu, 1) - 3 * _delta4(mu, 2) + _delta4(mu, 3)) * x.rho33
-        - 0.25 * (_delta4(mu, 0) + _delta4(mu, 1) + _delta4(mu, 2) - 3 * _delta4(mu, 3)) * x.rho44
-    )
+    return wigner_grid(x.matrix(), _rep_kernel(rep))
 
 
 def xstate_reduced_wigner(x: XState, which: int) -> np.ndarray:
     """2x2 grid of one qubit's reduction; constant along the nu axis."""
-    if which == 1:
-        contrast = x.rho11 + x.rho22 - x.rho33 - x.rho44
-    elif which == 2:
-        contrast = x.rho11 - x.rho22 + x.rho33 - x.rho44
-    else:
-        raise ValueError(f"qubit selector must be 1 or 2, got {which}")
-    grid = np.empty((2, 2))
-    for mu in range(2):
-        grid[mu, :] = 0.5 * (1.0 + (-1.0) ** mu * contrast)
-    return grid
+    return _half_sum(xstate_wigner(x, "pair"), which)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MarginalPair:
-    """Half-sums of the 4x4 grid along each axis.
+    """Marginals of the 4x4 grid W along each axis.
 
-    ``mu_marginal`` carries only the populations, ``nu_marginal`` only the
-    antidiagonal coherences; each half-sums to one.
+    ``mu_marginal`` is the half-sum (1/2) sum_nu W(mu, nu) = 2 rho[mu, mu]
+    and carries only the populations.  ``nu_marginal`` is
+    1/4 + (1/4) sum_mu W(mu, nu) and carries only the antidiagonal
+    coherences.  Each half-sums to one.
     """
 
     mu_marginal: np.ndarray
@@ -277,14 +182,10 @@ class MarginalPair:
 
 
 def xstate_marginals(x: XState) -> MarginalPair:
-    """Closed-form marginal distributions of the 4x4 X-state grid."""
-    q = np.array([2.0 * _population_term(x, mu) for mu in range(4)])
-    r = np.empty(4)
-    for nu in range(4):
-        r[nu] = 0.5 + (_ANTIDIAGONAL_WEIGHT / 2.0) * _alternating(nu) * (
-            _cos_half(nu) * (x.rho14.real + _alternating(nu) * x.rho23.real)
-            - _sin_half(nu) * (x.rho14.imag + _alternating(nu) * x.rho23.imag)
-        )
+    """Marginal distributions of the 4x4 X-state grid (see ``MarginalPair``)."""
+    w = xstate_wigner(x, "su4")
+    q = w.sum(axis=1) / 2.0
+    r = 0.25 + w.sum(axis=0) / 4.0
     q.flags.writeable = False
     r.flags.writeable = False
     return MarginalPair(mu_marginal=q, nu_marginal=r)

@@ -9,10 +9,12 @@ the change of basis into the four-level generator description.
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 
 from .generators import PAULI_X, PAULI_Y, PAULI_Z, generators
+from .kernel import MappingKernel, kernel, wigner_grid
 from .linalg import DensityMatrix, matrix_of, validate_density
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -46,16 +48,24 @@ def pair_index(i: int, j: int) -> int:
     return 2 * i + j
 
 
+@lru_cache(maxsize=None)
+def _pauli_products() -> np.ndarray:
+    # sigma_i x I, then I x sigma_j, then sigma_i x sigma_j row by row:
+    # the order of the coefficients a, b, c
+    eye2 = np.eye(2, dtype=complex)
+    stack = np.array(
+        [np.kron(p, eye2) for p in _PAULIS]
+        + [np.kron(eye2, p) for p in _PAULIS]
+        + [np.kron(p, q) for p in _PAULIS for q in _PAULIS]
+    )
+    stack.flags.writeable = False
+    return stack
+
+
 def fano_matrix(f: FanoCoefficients) -> np.ndarray:
     """Compose the 4x4 matrix; defined for any coefficients, physical or not."""
-    eye2 = np.eye(2, dtype=complex)
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += f.a[i] * np.kron(_PAULIS[i], eye2)
-        rho += f.b[i] * np.kron(eye2, _PAULIS[i])
-        for j in range(3):
-            rho += f.c[i, j] * np.kron(_PAULIS[i], _PAULIS[j])
-    return rho / 4.0
+    coeffs = np.concatenate([f.a, f.b, f.c.reshape(-1)])
+    return (np.eye(4, dtype=complex) + np.einsum("k,kij->ij", coeffs, _pauli_products())) / 4.0
 
 
 def fano_compose(f: FanoCoefficients, tol: float | None = None) -> DensityMatrix:
@@ -73,13 +83,8 @@ def fano_extract(rho) -> FanoCoefficients:
     m = matrix_of(rho)
     if m.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {m.shape[0]}")
-    eye2 = np.eye(2, dtype=complex)
-    a = np.array([np.real(np.trace(m @ np.kron(p, eye2))) for p in _PAULIS])
-    b = np.array([np.real(np.trace(m @ np.kron(eye2, p))) for p in _PAULIS])
-    c = np.array(
-        [[np.real(np.trace(m @ np.kron(p, q))) for q in _PAULIS] for p in _PAULIS]
-    )
-    return FanoCoefficients(a=a, b=b, c=c)
+    t = np.einsum("kij,ji->k", _pauli_products(), m).real
+    return FanoCoefficients(a=t[:3], b=t[3:6], c=t[6:].reshape(3, 3))
 
 
 def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
@@ -96,76 +101,44 @@ def _polarization(f: FanoCoefficients, which: int) -> np.ndarray:
     raise ValueError(f"qubit selector must be 1 or 2, got {which}")
 
 
-def _point_signs(mu: int, nu: int) -> np.ndarray:
-    # per-point signs multiplying (x, y, z) polarization components
-    return np.array(
-        [(-1.0) ** nu, (-1.0) ** (mu + nu + 1), (-1.0) ** mu]
-    )
+@lru_cache(maxsize=None)
+def pair_kernel() -> MappingKernel:
+    """Cell operators G(mu1, nu1) x G(mu2, nu2) of ``kernel(2)`` on the 16 pair points.
+
+    ``ops[mu1, nu1, mu2, nu2]`` is the Kronecker product of the two qubit
+    phase-point operators, so the stack is trace-orthogonal and
+    informationally complete like ``kernel(4)``.
+    """
+    k = kernel(2).ops
+    ops = np.einsum("abij,cdkl->abcdikjl", k, k).reshape(2, 2, 2, 2, 4, 4)
+    ops.flags.writeable = False
+    return MappingKernel(dim=4, ops=ops)
 
 
 def wigner_pair(f: FanoCoefficients) -> np.ndarray:
-    """Pair phase-space function on the 16 points (mu1, nu1, mu2, nu2)."""
-    grid = np.empty((2, 2, 2, 2))
-    for mu1 in range(2):
-        for nu1 in range(2):
-            s1 = _point_signs(mu1, nu1)
-            for mu2 in range(2):
-                for nu2 in range(2):
-                    s2 = _point_signs(mu2, nu2)
-                    grid[mu1, nu1, mu2, nu2] = 0.25 * (
-                        1.0 + s1 @ f.a + s2 @ f.b + s1 @ f.c @ s2
-                    )
-    return grid
+    """Pair phase-space function on the 16 points (mu1, nu1, mu2, nu2).
 
-
-def _gamma_diagonal(rho: np.ndarray, mu1: int, mu2: int) -> float:
-    s1, s2 = (-1.0) ** mu1, (-1.0) ** mu2
-    return float(
-        (s1 + s2 + s1 * s2) * np.real(rho[0, 0])
-        + (s1 - s2 - s1 * s2) * np.real(rho[1, 1])
-        + (-s1 + s2 - s1 * s2) * np.real(rho[2, 2])
-        + (-s1 - s2 + s1 * s2) * np.real(rho[3, 3])
-    )
-
-
-def _gamma_cross(rho: np.ndarray, mu1: int, mu2: int) -> tuple[float, float]:
-    # antidiagonal coherences: the (0,3) and (1,2) entries
-    s1, s2 = (-1.0) ** mu1, (-1.0) ** mu2
-    g14 = (1.0 - s1 * s2) * rho[0, 3].real + (s1 + s2) * rho[0, 3].imag
-    g23 = (1.0 + s1 * s2) * rho[1, 2].real + (s1 - s2) * rho[1, 2].imag
-    return float(g14), float(g23)
+    The grid of the composed matrix ``fano_matrix(f)`` over ``pair_kernel()``.
+    """
+    return wigner_grid(fano_matrix(f), pair_kernel())
 
 
 def wigner_pair_from_matrix(rho) -> np.ndarray:
-    """Pair phase-space function written directly in the matrix elements.
+    """Pair phase-space function of a 4x4 matrix, over ``pair_kernel()``.
 
-    Agrees with ``wigner_pair(fano_extract(rho))`` for every unit-trace
-    matrix.
+    Agrees with ``wigner_pair(fano_extract(rho))`` for every Hermitian
+    unit-trace matrix.
     """
-    m = matrix_of(rho)
-    if m.shape[0] != 4:
-        raise ValueError(f"dimension must be 4, got {m.shape[0]}")
-    grid = np.empty((2, 2, 2, 2))
-    for mu1 in range(2):
-        for mu2 in range(2):
-            s1, s2 = (-1.0) ** mu1, (-1.0) ** mu2
-            diag = _gamma_diagonal(m, mu1, mu2)
-            g12 = (1.0 + s1) * (m[0, 1].real + s2 * m[0, 1].imag)
-            g13 = (1.0 + s2) * (m[0, 2].real + s1 * m[0, 2].imag)
-            g24 = (1.0 - s2) * (m[1, 3].real + s1 * m[1, 3].imag)
-            g34 = (1.0 - s1) * (m[2, 3].real + s2 * m[2, 3].imag)
-            g14, g23 = _gamma_cross(m, mu1, mu2)
-            for nu1 in range(2):
-                for nu2 in range(2):
-                    t1, t2 = (-1.0) ** nu1, (-1.0) ** nu2
-                    grid[mu1, nu1, mu2, nu2] = 0.25 * (
-                        1.0
-                        + diag
-                        + 2.0 * t1 * (g13 + g24)
-                        + 2.0 * t2 * (g12 + g34)
-                        + 2.0 * t1 * t2 * (g14 + g23)
-                    )
-    return grid
+    return wigner_grid(rho, pair_kernel())
+
+
+def _half_sum(pair_grid: np.ndarray, which: int) -> np.ndarray:
+    """Half-sum of a pair grid over the other qubit's indices."""
+    if which == 1:
+        return pair_grid.sum(axis=(2, 3)) / 2.0
+    if which == 2:
+        return pair_grid.sum(axis=(0, 1)) / 2.0
+    raise ValueError(f"qubit selector must be 1 or 2, got {which}")
 
 
 def reduced_wigner(f: FanoCoefficients, which: int) -> np.ndarray:
@@ -173,12 +146,7 @@ def reduced_wigner(f: FanoCoefficients, which: int) -> np.ndarray:
 
     Equals the half-sum of the pair grid over the other qubit's indices.
     """
-    p = _polarization(f, which)
-    grid = np.empty((2, 2))
-    for mu in range(2):
-        for nu in range(2):
-            grid[mu, nu] = 0.5 * (1.0 + _point_signs(mu, nu) @ p)
-    return grid
+    return _half_sum(wigner_pair(f), which)
 
 
 def delta_pair(f: FanoCoefficients) -> np.ndarray:
@@ -187,9 +155,8 @@ def delta_pair(f: FanoCoefficients) -> np.ndarray:
     Identically zero exactly when the correlations factorize,
     c_ij = a_i b_j.
     """
-    w1 = reduced_wigner(f, 1)
-    w2 = reduced_wigner(f, 2)
-    return wigner_pair(f) - np.multiply.outer(w1, w2)
+    w = wigner_pair(f)
+    return w - np.multiply.outer(_half_sum(w, 1), _half_sum(w, 2))
 
 
 def su4_coefficients(f: FanoCoefficients) -> np.ndarray:

@@ -136,6 +136,20 @@ def test_validate_invalid_matrix(matrix_file, capsys):
     assert "verdict: invalid" in out
 
 
+def test_validate_rejects_boolean_dim(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"dim": true, "re": [[1.0]], "im": [[0.0]]}', encoding="utf-8")
+    assert main(["validate", "--input", str(path)]) == 1
+    assert "'dim'" in capsys.readouterr().err
+
+
+def test_state_rejects_non_finite_parameter(capsys):
+    assert main(["state", "--name", "gisin:s=nan,p=0.1,x=0.5", "--emit", "matrix"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_unknown_state_name_is_usage_error(capsys):
     assert main(["state", "--name", "foo:x=1"]) == 2
     assert "unknown state name" in capsys.readouterr().err

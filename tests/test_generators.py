@@ -220,6 +220,11 @@ def test_wigner_su2_rejects_long_vectors():
         wigner_su2([1.0, 1.0, 0.0])
 
 
+def test_wigner_su2_rejects_non_finite_vectors():
+    with pytest.raises(ValueError, match="finite"):
+        wigner_su2([np.nan] * 3)
+
+
 def test_wigner_su2_matrix_element_form(rng):
     for _ in range(100):
         rho = random_density(rng, 2)

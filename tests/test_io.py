@@ -54,6 +54,17 @@ def test_parse_matrix_dim_mismatch():
         parse_matrix('{"dim":2,"re":[[1,0]],"im":[[0,0],[0,0]]}')
 
 
+def test_parse_matrix_rejects_boolean_dim():
+    with pytest.raises(ValueError, match="'dim'"):
+        parse_matrix('{"dim":true,"re":[[1.0]],"im":[[0.0]]}')
+
+
+@pytest.mark.parametrize("re, im", [("NaN", "0.0"), ("Infinity", "0.0"), ("1.0", "-Infinity")])
+def test_parse_matrix_rejects_non_finite_entries(re, im):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_matrix(f'{{"dim":1,"re":[[{re}]],"im":[[{im}]]}}')
+
+
 def test_parse_matrix_accepts_bytes():
     text = serialize_matrix(np.eye(2) / 2).encode()
     np.testing.assert_allclose(parse_matrix(text), np.eye(2) / 2, atol=1e-15)

@@ -11,6 +11,8 @@ from dwigner import (
     schwinger_pair,
     symmetrized_basis,
     wigner_grid,
+    wigner_pair_from_matrix,
+    wigner_su4,
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 from dwigner.kernel import hermitizing_phase
@@ -198,6 +200,24 @@ def test_grid_rejects_non_hermitian_input():
         wigner_grid(m)
 
 
+def _non_hermitian(kind):
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "blind":
+        # anti-Hermitian part i * (Im rho[0,2] direction), which the
+        # four-level closed form cannot see
+        m[0, 2], m[2, 0] = -0.1, 0.1
+    else:
+        m[0, 1] += 0.1j
+    return m
+
+
+@pytest.mark.parametrize("kind", ["blind", "coherence"])
+@pytest.mark.parametrize("transform", [wigner_grid, wigner_su4, wigner_pair_from_matrix])
+def test_grid_functions_reject_non_hermitian_input(transform, kind):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        transform(_non_hermitian(kind))
+
+
 def test_grid_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         wigner_grid(np.eye(4) / 4, kernel(2))
@@ -268,3 +288,9 @@ def test_overlap_matches_direct_trace(rng):
 def test_overlap_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         grid_overlap(np.zeros((2, 2)), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,)])
+def test_overlap_rejects_malformed_shapes(shape):
+    with pytest.raises(ValueError, match="grid"):
+        grid_overlap(np.ones(shape), np.ones(shape))

@@ -142,6 +142,17 @@ def test_xstate_population_validation():
         XState(0.5, 0.5, 0.5, 0.0)
 
 
+def test_xstate_rejects_non_finite_fields():
+    with pytest.raises(ValueError, match="finite"):
+        XState(np.nan, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        XState(0.5, 0.0, 0.0, 0.5, rho14=complex(0.0, np.inf))
+    with pytest.raises(ValueError, match="finite"):
+        gisin_from_combinations(np.nan, 0.1, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        gisin_from_combinations(0.1, np.nan, 0.5)
+
+
 def test_xstate_block_positivity_flag():
     sound = XState(0.5, 0.0, 0.0, 0.5, rho14=0.49)
     assert sound.is_physical()
