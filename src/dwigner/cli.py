@@ -163,7 +163,7 @@ def _grid_for_rep(rho, rep: str) -> np.ndarray:
     if matrix.shape[0] != 4:
         raise UsageError(f"representation {rep} needs a 4x4 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
     if rep == "su4":
-        return wigner_su4(matrix)
+        return wigner_su4(rho)
     if rep == "pair":
         return wigner_pair(fano_extract(matrix))
     raise UsageError(f"unknown representation {rep!r}")

@@ -92,10 +92,11 @@ class MappingKernel:
     """Stack of n x n cell operators, one per point of a phase-space grid.
 
     The grid may have any shape; ``ops[p]`` is the operator of point p.
-    For ``kernel(n)`` the grid is n x n, every operator has unit trace,
-    the family is trace-orthogonal with normalization
-    Tr[G†(p) G(q)] = n * delta(p, q), and the average over all points is
-    the identity.
+    Every operator is Hermitian.  For ``kernel(n)`` the grid is n x n,
+    every operator has unit trace, the family is trace-orthogonal with
+    normalization Tr[G†(p) G(q)] = n * delta(p, q), and the average over
+    all points is the identity; only that stack can be inverted by
+    ``reconstruct``.
     """
 
     dim: int
@@ -132,39 +133,40 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
-    density matrix.  A residual imaginary part above 1e-10 signals a
-    non-Hermitian input or a kernel of the wrong dimension and raises
-    instead of being discarded.  A raw array must also be Hermitian to
-    1e-10, since a kernel that is not informationally complete cannot
-    see every anti-Hermitian direction; a DensityMatrix was checked at
-    its own tolerance when it was validated.
+    density matrix.  The input must be Hermitian to its own tolerance:
+    the one it was validated at for a DensityMatrix, 1e-10 for a raw
+    array.  Within that tolerance the values are those of its Hermitian
+    part, since every cell operator is Hermitian.
     """
     a = matrix_of(rho)
+    tol = rho.tolerance if isinstance(rho, DensityMatrix) else REALNESS_TOLERANCE
     if kern is None:
         kern = kernel(a.shape[0])
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
-    values = np.einsum("...ij,ij->...", kern.ops.conj(), a)
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > REALNESS_TOLERANCE:
+    defect = hermiticity_defect(a)
+    if defect > tol:
         raise ValueError(
-            f"phase-space values have imaginary residue {residue:.3e}; "
-            "input matrix is not Hermitian or does not match the kernel"
+            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}, "
+            "so its phase-space values would have an imaginary part"
         )
-    if not isinstance(rho, DensityMatrix):
-        defect = hermiticity_defect(a)
-        if defect > REALNESS_TOLERANCE:
-            raise ValueError(f"input matrix is not Hermitian: max asymmetry {defect:.3e}")
-    return values.real
+    # Re Tr[G† a] = Re Tr[G a*ᵀ]: conjugating the small matrix, not the table
+    return np.einsum("...ij,ij->...", kern.ops, a.conj()).real
 
 
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
-    """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p)."""
+    """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
+
+    Only the trace-orthogonal ``kernel(n)`` is inverted this way; any
+    other stack (the pair or four-level closed-form stacks) raises.
+    """
     w = np.asarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square grid, got shape {w.shape}")
     if kern is None:
         kern = kernel(w.shape[0])
+    if kern is not kernel(kern.dim):
+        raise ValueError("reconstruct inverts only the phase-point kernel kernel(n)")
     if kern.dim != w.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs grid {w.shape[0]}")
     return np.einsum("mn,mnij->ij", w, kern.ops) / kern.dim

@@ -190,3 +190,18 @@ def test_tolerance_environment_override(matrix_file, capsys, monkeypatch):
     monkeypatch.setenv("DWIGNER_TOLERANCE", "not-a-number")
     assert main(["validate", "--input", path]) == 2
     capsys.readouterr()
+
+
+def test_wigner_su4_honours_tolerance_environment(matrix_file, capsys, monkeypatch):
+    # an anti-Hermitian entry of 1e-7: invalid at the default tolerance,
+    # valid at 1e-5, and then the grid is that of the Hermitian part
+    slightly_off = np.eye(4, dtype=complex) / 4
+    slightly_off[0, 1] = 1e-7j
+    path = matrix_file("skew.json", slightly_off)
+    assert main(["wigner", "--input", path, "--rep", "su4"]) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("DWIGNER_TOLERANCE", "1e-5")
+    assert main(["wigner", "--input", path, "--rep", "su4", "--format", "json"]) == 0
+    grid = parse_grid(capsys.readouterr().out, "json")
+    hermitian_part = (slightly_off + slightly_off.conj().T) / 2
+    np.testing.assert_allclose(grid, wigner_su4(hermitian_part), atol=1e-12)

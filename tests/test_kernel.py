@@ -15,7 +15,10 @@ from dwigner import (
     wigner_su4,
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
+from dwigner.generators import su4_kernel
 from dwigner.kernel import hermitizing_phase
+from dwigner.linalg import validate_density
+from dwigner.twoqubit import pair_kernel
 from helpers import random_density
 
 DIMS = (2, 3, 4, 5)
@@ -218,6 +221,16 @@ def test_grid_functions_reject_non_hermitian_input(transform, kind):
         transform(_non_hermitian(kind))
 
 
+@pytest.mark.parametrize("transform", [wigner_grid, wigner_su4, wigner_pair_from_matrix])
+def test_grid_functions_use_the_validated_tolerance(transform):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-7j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        transform(m)
+    hermitian_part = (m + m.conj().T) / 2
+    np.testing.assert_allclose(transform(validate_density(m, 1e-5)), transform(hermitian_part), atol=1e-15)
+
+
 def test_grid_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         wigner_grid(np.eye(4) / 4, kernel(2))
@@ -237,6 +250,13 @@ def test_grid_linearity(rng):
 
 def test_reconstruct_constant_grid():
     np.testing.assert_allclose(reconstruct(np.full((4, 4), 0.25)), np.eye(4) / 4, atol=1e-12)
+
+
+@pytest.mark.parametrize("stack", [su4_kernel, pair_kernel])
+def test_reconstruct_rejects_other_stacks(stack):
+    rho = np.eye(4) / 4
+    with pytest.raises(ValueError, match="only the phase-point kernel"):
+        reconstruct(wigner_grid(rho, stack()).reshape(4, 4), stack())
 
 
 def test_reconstruct_bell_grid():
