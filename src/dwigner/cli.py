@@ -165,7 +165,7 @@ def _grid_for_rep(rho, rep: str) -> np.ndarray:
     if rep == "su4":
         return wigner_su4(rho)
     if rep == "pair":
-        return wigner_pair(fano_extract(matrix))
+        return wigner_pair(fano_extract(rho))
     raise UsageError(f"unknown representation {rep!r}")
 
 
@@ -189,16 +189,16 @@ def _cmd_state(args) -> int:
 def _cmd_delta(args) -> int:
     rho = _load_density(args.input, _tolerance())
     if args.rep == "pair":
-        grid = delta_pair(fano_extract(matrix_of(rho)))
+        grid = delta_pair(fano_extract(rho))
     else:
-        grid = xstate_delta(xstate_from_matrix(matrix_of(rho)))
+        grid = xstate_delta(xstate_from_matrix(rho))
     _write_output(emit_grid(grid, args.format), args.output)
     return EXIT_OK
 
 
 def _cmd_marginals(args) -> int:
     rho = _load_density(args.input, _tolerance())
-    marginals = xstate_marginals(xstate_from_matrix(matrix_of(rho)))
+    marginals = xstate_marginals(xstate_from_matrix(rho))
     doc = {
         "mu": [float(v) for v in marginals.mu_marginal],
         "nu": [float(v) for v in marginals.nu_marginal],

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import MappingKernel, _unitary_power, schwinger_pair, wigner_grid
+from .kernel import MappingKernel, _clock_shift, wigner_grid
 from .linalg import DEFAULT_TOLERANCE, matrix_of
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -139,11 +139,7 @@ def generator_from_schwinger(i: int) -> np.ndarray:
     """Dimension-4 generator i (0-based) built from its clock/shift polynomial."""
     if not 0 <= i < 15:
         raise IndexError(f"generator index {i} out of range [0, 15)")
-    pair = schwinger_pair(4)
-    total = np.zeros((4, 4), dtype=complex)
-    for coeff, eta, xi in _SU4_CLOCK_SHIFT_TERMS[i]:
-        total += coeff * (_unitary_power(pair.u, eta) @ _unitary_power(pair.v, xi))
-    return total
+    return sum(coeff * _clock_shift(eta, xi, 4) for coeff, eta, xi in _SU4_CLOCK_SHIFT_TERMS[i])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

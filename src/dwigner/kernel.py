@@ -14,9 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermiticity_defect, matrix_of
-
-REALNESS_TOLERANCE = 1e-10
+from .linalg import hermitian_matrix
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -28,25 +26,24 @@ class SchwingerPair:
     v: np.ndarray
 
 
+def _clock_shift(eta: int, xi: int, n: int) -> np.ndarray:
+    # (u^eta v^xi)[j, k] = w^(eta j) when k = j + xi (mod n), else 0
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+    j = np.arange(n)
+    m = np.zeros((n, n), dtype=complex)
+    m[j, (j + xi) % n] = np.exp(2j * np.pi * (eta * j % n) / n)
+    return m
+
+
 @lru_cache(maxsize=None)
 def schwinger_pair(n: int) -> SchwingerPair:
     """Build the dimension-n clock/shift pair."""
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-    w = np.exp(2j * np.pi / n)
-    u = np.diag(w ** np.arange(n))
-    v = np.zeros((n, n), dtype=complex)
-    v[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
+    u = _clock_shift(1, 0, n)
+    v = _clock_shift(0, 1, n)
     u.flags.writeable = False
     v.flags.writeable = False
     return SchwingerPair(dim=n, u=u, v=v)
-
-
-def _unitary_power(m: np.ndarray, k: int) -> np.ndarray:
-    # negative powers via the adjoint keep permutation/diagonal factors exact
-    if k >= 0:
-        return np.linalg.matrix_power(m, k)
-    return np.linalg.matrix_power(m.conj().T, -k)
 
 
 def phase_exponent(eta: int, xi: int, n: int) -> int:
@@ -62,10 +59,13 @@ def phase_exponent(eta: int, xi: int, n: int) -> int:
 
 
 def symmetrized_basis(eta: int, xi: int, n: int) -> np.ndarray:
-    """n^(-1/2) w^(eta xi / 2) u^eta v^xi, defined for any integer indices."""
-    pair = schwinger_pair(n)
+    """n^(-1/2) w^(eta xi / 2) u^eta v^xi, defined for any integer indices.
+
+    The monomial is built by index arithmetic, not by matrix powers:
+    (u^eta v^xi)[j, k] = w^(eta j) when k = j + xi (mod n), and 0 otherwise.
+    """
     phase = np.exp(1j * np.pi * eta * xi / n)
-    return phase / np.sqrt(n) * (_unitary_power(pair.u, eta) @ _unitary_power(pair.v, xi))
+    return phase / np.sqrt(n) * _clock_shift(eta, xi, n)
 
 
 def hermitizing_phase(eta: int, xi: int, n: int) -> complex:
@@ -108,23 +108,25 @@ class MappingKernel:
 
 @lru_cache(maxsize=None)
 def kernel(n: int) -> MappingKernel:
-    """Construct (and cache) the phase-point operator basis for dimension n."""
+    """Construct (and cache) the phase-point operator basis for dimension n.
+
+    G(mu, nu) = n^(-1/2) sum_{eta, xi < n} w^(-(mu eta + nu xi)) h(eta, xi) S(eta, xi) over the
+    symmetrized basis S with hermitizing phase h.  As u^eta v^xi puts w^(eta j) at (j, j + xi),
+    G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi] with xi = (k - j) mod n and
+    c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m): one n x n DFT product and one
+    gather, O(n^4) in time and memory.
+    """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    w = np.exp(2j * np.pi / n)
-    # the window-shift exponent vanishes on the fundamental window
-    basis = [
-        [hermitizing_phase(eta, xi, n) * symmetrized_basis(eta, xi, n) for xi in range(n)]
-        for eta in range(n)
-    ]
-    ops = np.zeros((n, n, n, n), dtype=complex)
-    for mu in range(n):
-        for nu in range(n):
-            total = np.zeros((n, n), dtype=complex)
-            for eta in range(n):
-                for xi in range(n):
-                    total += w ** (-(mu * eta + nu * xi)) * basis[eta][xi]
-            ops[mu, nu] = total / np.sqrt(n)
+    idx = np.arange(n)
+    h = np.array([[hermitizing_phase(eta, xi, n) for xi in range(n)] for eta in range(n)])
+    products = np.outer(idx, idx)
+    half = np.exp(1j * np.pi * (products % (2 * n)) / n)  # w^(eta xi / 2)
+    dft = np.exp(2j * np.pi * (products % n) / n)  # w^(m eta)
+    c = dft @ (h * half) / n
+    diff = (idx[None, :] - idx[:, None]) % n  # diff[a, b] = (b - a) mod n
+    shift = np.exp(-2j * np.pi * (np.multiply.outer(idx, diff) % n) / n)  # w^(-nu xi)[nu, j, k]
+    ops = c[diff[:, :, None], diff[None, :, :]][:, None] * shift[None]
     ops.flags.writeable = False
     return MappingKernel(dim=n, ops=ops)
 
@@ -138,18 +140,11 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     array.  Within that tolerance the values are those of its Hermitian
     part, since every cell operator is Hermitian.
     """
-    a = matrix_of(rho)
-    tol = rho.tolerance if isinstance(rho, DensityMatrix) else REALNESS_TOLERANCE
+    a = hermitian_matrix(rho)
     if kern is None:
         kern = kernel(a.shape[0])
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(
-            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}, "
-            "so its phase-space values would have an imaginary part"
-        )
     # Re Tr[G† a] = Re Tr[G a*ᵀ]: conjugating the small matrix, not the table
     return np.einsum("...ij,ij->...", kern.ops, a.conj()).real
 

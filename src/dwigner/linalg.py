@@ -24,10 +24,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def adjoint(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def trace_product(a, b) -> complex:
     """Tr[A† B] for two square matrices of the same dimension."""
     a = as_matrix(a)
@@ -37,14 +33,6 @@ def trace_product(a, b) -> complex:
             f"dimension mismatch: {a.shape[0]}x{a.shape[0]} vs {b.shape[0]}x{b.shape[0]}"
         )
     return complex(np.sum(a.conj() * b))
-
-
-def commutator(a, b) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    return a @ b + b @ a
 
 
 def hermiticity_defect(a) -> float:
@@ -96,6 +84,22 @@ def matrix_of(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
     return as_matrix(rho)
+
+
+def hermitian_matrix(rho) -> np.ndarray:
+    """``matrix_of(rho)``, checked to be Hermitian within the input's own tolerance.
+
+    That is the tolerance a DensityMatrix was validated at, else DEFAULT_TOLERANCE.
+    """
+    a = matrix_of(rho)
+    tol = rho.tolerance if isinstance(rho, DensityMatrix) else DEFAULT_TOLERANCE
+    defect = hermiticity_defect(a)
+    if defect > tol:
+        raise ValueError(
+            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}, "
+            "so its phase-space values would have an imaginary part"
+        )
+    return a
 
 
 def validate_density(m, tol: float | None = None) -> DensityMatrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .generators import su4_kernel, wigner_su4
 from .kernel import MappingKernel, wigner_grid
-from .linalg import DEFAULT_TOLERANCE, DensityMatrix, matrix_of, validate_density
+from .linalg import DEFAULT_TOLERANCE, DensityMatrix, hermitian_matrix, validate_density
 from .twoqubit import FanoCoefficients, _half_sum, fano_matrix, pair_kernel
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -137,8 +137,11 @@ class XState:
 
 
 def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
-    """Read an X-form matrix into its six potentially nonzero elements."""
-    a = matrix_of(m)
+    """Read a Hermitian X-form matrix into its six potentially nonzero elements.
+
+    ``tol`` bounds the elements off the X pattern; ``hermitian_matrix`` checks Hermiticity.
+    """
+    a = hermitian_matrix(m)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
     mask = np.ones((4, 4), dtype=bool)

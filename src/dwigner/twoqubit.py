@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generators import PAULI_X, PAULI_Y, PAULI_Z, generators
+from .generators import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch
 from .kernel import MappingKernel, kernel, wigner_grid
-from .linalg import DensityMatrix, matrix_of, validate_density
+from .linalg import DensityMatrix, hermitian_matrix, validate_density
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -79,8 +79,8 @@ def fano_compose(f: FanoCoefficients, tol: float | None = None) -> DensityMatrix
 
 
 def fano_extract(rho) -> FanoCoefficients:
-    """Read the 15 coefficients off a 4x4 matrix by Pauli-product traces."""
-    m = matrix_of(rho)
+    """Read the 15 coefficients off a Hermitian 4x4 matrix by Pauli-product traces."""
+    m = hermitian_matrix(rho)
     if m.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {m.shape[0]}")
     t = np.einsum("kij,ji->k", _pauli_products(), m).real
@@ -89,8 +89,7 @@ def fano_extract(rho) -> FanoCoefficients:
 
 def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
     """Partial trace onto qubit 1 or 2: (I + polarization . sigma) / 2."""
-    p = _polarization(f, which)
-    return (np.eye(2, dtype=complex) + p[0] * PAULI_X + p[1] * PAULI_Y + p[2] * PAULI_Z) / 2.0
+    return density_from_bloch(_polarization(f, which), 2)
 
 
 def _polarization(f: FanoCoefficients, which: int) -> np.ndarray:
@@ -190,8 +189,4 @@ def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
 
 def density_from_su4_coefficients(coeffs) -> np.ndarray:
     """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4."""
-    v = np.asarray(coeffs, dtype=float)
-    if v.shape != (15,):
-        raise ValueError(f"expected 15 coefficients, got shape {v.shape}")
-    stack = generators(4).stack()
-    return (np.eye(4, dtype=complex) + np.einsum("i,iab->ab", v, stack)) / 4.0
+    return density_from_bloch(np.asarray(coeffs, dtype=float) / 2.0, 4)

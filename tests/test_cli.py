@@ -192,6 +192,30 @@ def test_tolerance_environment_override(matrix_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["delta", "--rep", "pair"],
+        ["delta", "--rep", "xstate"],
+        ["marginals"],
+        ["wigner", "--rep", "pair"],
+    ],
+)
+def test_pair_and_xstate_paths_honour_tolerance_environment(
+    command, matrix_file, capsys, monkeypatch
+):
+    # an X-form matrix whose rho[0,3] is 1e-7 off the adjoint of rho[3,0]
+    slightly_off = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
+    slightly_off[0, 3] = 0.1 + 1e-7j
+    slightly_off[3, 0] = 0.1
+    argv = [command[0], "--input", matrix_file("skew.json", slightly_off), *command[1:]]
+    assert main(argv) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("DWIGNER_TOLERANCE", "1e-5")
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 def test_wigner_su4_honours_tolerance_environment(matrix_file, capsys, monkeypatch):
     # an anti-Hermitian entry of 1e-7: invalid at the default tolerance,
     # valid at 1e-5, and then the grid is that of the Hermitian part

@@ -127,6 +127,18 @@ def test_kernel_completeness(n):
     np.testing.assert_allclose(k.ops.sum(axis=(0, 1)) / n, np.eye(n), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", (8, 16, 32))
+def test_kernel_structure_at_large_n(n):
+    ops = kernel(n).ops
+    np.testing.assert_allclose(ops, ops.conj().swapaxes(-1, -2), atol=1e-12)
+    np.testing.assert_allclose(np.trace(ops, axis1=-2, axis2=-1), 1.0, atol=1e-12)
+    flat = ops.reshape(n * n, n * n)
+    np.testing.assert_allclose(flat.conj() @ flat.T, n * np.eye(n * n), atol=1e-12)
+    np.testing.assert_allclose(ops.sum(axis=(0, 1)) / n, np.eye(n), atol=1e-12)
+    assert not ops.flags.writeable
+    assert kernel(n) is kernel(n)
+
+
 def test_kernel_qubit_pauli_traces():
     k = kernel(2)
     for mu in range(2):
@@ -137,7 +149,7 @@ def test_kernel_qubit_pauli_traces():
             assert abs(np.trace(gdag @ PAULI_Z) - (-1.0) ** mu) < 1e-12
 
 
-@pytest.mark.parametrize("n", (2, 4))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_kernel_window_shift_invariance(n):
     # rebuild each operator summing eta over [-n, -1]; the integer-part
     # exponent supplies exactly the compensating sign

@@ -174,6 +174,13 @@ def test_xstate_from_matrix_rejects_off_pattern():
         xstate_from_matrix(m)
 
 
+def test_xstate_from_matrix_rejects_non_hermitian_input():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3], m[3, 0] = 0.1, 0.3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        xstate_from_matrix(m)
+
+
 def test_xstate_su4_first_cell(rng):
     x = random_xstate(rng)
     grid = xstate_wigner(x, "su4")

@@ -137,6 +137,13 @@ def test_fano_extract_maximally_mixed():
     assert np.max(np.abs(f.c)) < 1e-14
 
 
+def test_fano_extract_rejects_non_hermitian_input():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] += 0.1j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        fano_extract(m)
+
+
 def test_fano_round_trip(rng):
     worst = 0.0
     for _ in range(100):
