@@ -57,10 +57,19 @@ def _su4_matrices() -> tuple[np.ndarray, ...]:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Ordered traceless Hermitian generators with Tr[g_i g_j] = 2 delta_ij."""
+    """Ordered traceless Hermitian generators with Tr[g_i g_j] = 2 delta_ij.
+
+    The (count, n, n) stack of the matrices is built once, read-only.
+    """
 
     dim: int
     matrices: tuple[np.ndarray, ...]
+    _stack: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        stack = np.stack(self.matrices)
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -72,7 +81,7 @@ class GeneratorSet:
         return iter(self.matrices)
 
     def stack(self) -> np.ndarray:
-        return np.stack(self.matrices)
+        return self._stack
 
 
 @lru_cache(maxsize=None)

@@ -109,6 +109,16 @@ def emit_grid(values, fmt: str = "csv") -> str:
     raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
 
 
+def _grid_index(value) -> int:
+    # CSV and gnuplot fields are text, JSON fields numbers; a sign, a
+    # fraction or a bool is never an index, so nothing wraps around
+    if type(value) is str and value.strip().isdecimal():
+        return int(value)
+    if type(value) is int and value >= 0:
+        return value
+    raise ValueError(f"grid index {value!r} is not a non-negative integer")
+
+
 def _rows_to_grid(rows) -> np.ndarray:
     rows = list(rows)
     if not rows:
@@ -129,7 +139,7 @@ def _rows_to_grid(rows) -> np.ndarray:
     for row in rows:
         if len(row) != width:
             raise ValueError("grid file has rows of inconsistent width")
-        index = tuple(int(v) for v in row[:-1])
+        index = tuple(map(_grid_index, row[:-1]))
         if index in seen:
             raise ValueError(f"duplicate grid index {index}")
         seen.add(index)
@@ -143,7 +153,11 @@ def _rows_to_grid(rows) -> np.ndarray:
 
 
 def parse_grid(text, fmt: str = "csv") -> np.ndarray:
-    """Parse a serialized grid back into an ndarray (inverse of emit_grid)."""
+    """Parse a serialized grid back into an ndarray (inverse of emit_grid).
+
+    Every index must be a non-negative integer inside the grid shape:
+    digits in CSV and gnuplot, a JSON integer in JSON.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     if fmt == "csv":

@@ -96,7 +96,8 @@ class MappingKernel:
     every operator has unit trace, the family is trace-orthogonal with
     normalization Tr[G†(p) G(q)] = n * delta(p, q), and the average over
     all points is the identity; only that stack can be inverted by
-    ``reconstruct``.
+    ``reconstruct``.  Every stack in the package is C-contiguous, so the
+    flat (cells, n^2) view that ``wigner_grid`` contracts is not a copy.
     """
 
     dim: int
@@ -135,10 +136,12 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
-    density matrix.  The input must be Hermitian to its own tolerance:
-    the one it was validated at for a DensityMatrix, 1e-10 for a raw
-    array.  Within that tolerance the values are those of its Hermitian
-    part, since every cell operator is Hermitian.
+    density matrix.  The values are one matrix-vector product: the stack
+    viewed as a flat (cells, n^2) matrix, without a copy, times the n^2
+    entries of conj(rho).  The input must be Hermitian to its own
+    tolerance: the one it was validated at for a DensityMatrix, 1e-10 for
+    a raw array.  Within that tolerance the values are those of its
+    Hermitian part, since every cell operator is Hermitian.
     """
     a = hermitian_matrix(rho)
     if kern is None:
@@ -146,14 +149,18 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
     # Re Tr[G† a] = Re Tr[G a*ᵀ]: conjugating the small matrix, not the table
-    return np.einsum("...ij,ij->...", kern.ops, a.conj()).real
+    n = kern.dim
+    flat = kern.ops.reshape(-1, n * n)
+    return (flat @ a.conj().ravel()).real.reshape(kern.ops.shape[:-2])
 
 
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 
-    Only the trace-orthogonal ``kernel(n)`` is inverted this way; any
-    other stack (the pair or four-level closed-form stacks) raises.
+    The sum is one vector-matrix product: the n^2 grid values times the
+    stack viewed as a flat (n^2, n^2) matrix, without a copy.  Only the
+    trace-orthogonal ``kernel(n)`` is inverted this way; any other stack
+    (the pair or four-level closed-form stacks) raises.
     """
     w = np.asarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -164,7 +171,8 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         raise ValueError("reconstruct inverts only the phase-point kernel kernel(n)")
     if kern.dim != w.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs grid {w.shape[0]}")
-    return np.einsum("mn,mnij->ij", w, kern.ops) / kern.dim
+    n = kern.dim
+    return (w.ravel() @ kern.ops.reshape(n * n, n * n)).reshape(n, n) / n
 
 
 def _check_grid(values) -> np.ndarray:

@@ -140,6 +140,7 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     """Read a Hermitian X-form matrix into its six potentially nonzero elements.
 
     ``tol`` bounds the elements off the X pattern; ``hermitian_matrix`` checks Hermiticity.
+    The coherences are read from the Hermitian part, as every grid is.
     """
     a = hermitian_matrix(m)
     if a.shape[0] != 4:
@@ -155,8 +156,8 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
         rho22=float(a[1, 1].real),
         rho33=float(a[2, 2].real),
         rho44=float(a[3, 3].real),
-        rho14=complex(a[0, 3]),
-        rho23=complex(a[1, 2]),
+        rho14=complex(a[0, 3] + np.conj(a[3, 0])) / 2.0,
+        rho23=complex(a[1, 2] + np.conj(a[2, 1])) / 2.0,
     )
 
 
@@ -184,9 +185,7 @@ class MarginalPair:
     nu_marginal: np.ndarray
 
 
-def xstate_marginals(x: XState) -> MarginalPair:
-    """Marginal distributions of the 4x4 X-state grid (see ``MarginalPair``)."""
-    w = xstate_wigner(x, "su4")
+def _marginals(w: np.ndarray) -> MarginalPair:
     q = w.sum(axis=1) / 2.0
     r = 0.25 + w.sum(axis=0) / 4.0
     q.flags.writeable = False
@@ -194,10 +193,16 @@ def xstate_marginals(x: XState) -> MarginalPair:
     return MarginalPair(mu_marginal=q, nu_marginal=r)
 
 
+def xstate_marginals(x: XState) -> MarginalPair:
+    """Marginal distributions of the 4x4 X-state grid (see ``MarginalPair``)."""
+    return _marginals(xstate_wigner(x, "su4"))
+
+
 def xstate_delta(x: XState) -> np.ndarray:
     """Correlation signature on the 4x4 grid: W minus the marginal product."""
-    marginals = xstate_marginals(x)
-    return xstate_wigner(x, "su4") - np.outer(marginals.mu_marginal, marginals.nu_marginal)
+    w = xstate_wigner(x, "su4")
+    marginals = _marginals(w)
+    return w - np.outer(marginals.mu_marginal, marginals.nu_marginal)
 
 
 def munro(gamma: float) -> XState:

@@ -9,6 +9,7 @@ the change of basis into the four-level generator description.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,10 @@ _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FanoCoefficients:
-    """Polarizations ``a`` (qubit 1), ``b`` (qubit 2) and correlations ``c``."""
+    """Polarizations ``a`` (qubit 1), ``b`` (qubit 2) and correlations ``c``.
+
+    Construction checks the shapes and that every entry is finite.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -37,6 +41,8 @@ class FanoCoefficients:
                 f"expected shapes (3,), (3,), (3, 3); got {a.shape}, {b.shape}, {c.shape}"
             )
         for arr, name in ((a, "a"), (b, "b"), (c, "c")):
+            if not all(map(math.isfinite, arr.ravel().tolist())):
+                raise ValueError(f"Fano coefficients {name!r} must be finite, got {arr.tolist()}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

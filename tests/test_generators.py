@@ -105,6 +105,14 @@ def test_verify_algebra_passes(n):
     assert report.all_pass, report.deviations
 
 
+@pytest.mark.parametrize("n", (2, 4))
+def test_generator_stack_is_built_once(n):
+    gs = generators(n)
+    assert gs.stack() is gs.stack()
+    assert not gs.stack().flags.writeable
+    np.testing.assert_array_equal(gs.stack(), np.stack(gs.matrices))
+
+
 def test_verify_algebra_negative_control():
     gs = generators(4)
     scaled = GeneratorSet(dim=4, matrices=(2.0 * gs[0],) + gs.matrices[1:])

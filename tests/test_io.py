@@ -131,3 +131,58 @@ def test_parse_grid_duplicate_index():
     text = "mu,nu,w\n0,0,0.5\n0,0,0.5\n1,0,0.0\n1,1,0.0\n"
     with pytest.raises(ValueError, match="duplicate"):
         parse_grid(text)
+
+
+def _csv_grid(first_row):
+    rows = [first_row] + [f"{mu},{nu},0.25" for mu in range(4) for nu in range(4) if (mu, nu) != (3, 0)]
+    return "mu,nu,w\n" + "\n".join(rows) + "\n"
+
+
+def test_parse_grid_rejects_negative_csv_index():
+    # -1 must not wrap around to fill cell [3, 0]
+    assert parse_grid(_csv_grid("3,0,0.25")).shape == (4, 4)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(_csv_grid("-1,0,0.25"))
+
+
+def _json_grid(first_index):
+    rows = [[first_index, 1, 0.5], [0, 0, 0.5], [1, 0, 0.0], [1, 1, 0.0]]
+    return json.dumps({"columns": ["mu", "nu", "w"], "rows": rows})
+
+
+def test_parse_grid_rejects_fractional_json_index():
+    np.testing.assert_array_equal(parse_grid(_json_grid(0), "json"), [[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(_json_grid(0.5), "json")
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(_json_grid(1.5), "json")
+
+
+def test_parse_grid_rejects_boolean_json_index():
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(_json_grid(False), "json")
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(_json_grid(True), "json")
+
+
+def test_parse_grid_rejects_negative_gnuplot_pair_index():
+    grid = np.arange(16.0).reshape(2, 2, 2, 2)
+    text = emit_grid(grid, "gnuplot")
+    assert text.startswith("0 0 0 0 0.0\n")
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(text.replace("0 0 0 0 0.0", "0 0 -1 0 0.0", 1), "gnuplot")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot"])
+def test_parse_grid_rejects_index_outside_the_shape(fmt):
+    grid = np.zeros((2, 2))
+    text = emit_grid(grid, fmt)
+    if fmt == "json":
+        doc = json.loads(text)
+        doc["rows"][-1][0] = 2
+        text = json.dumps(doc)
+    else:
+        sep = "," if fmt == "csv" else " "
+        text = text.replace(f"1{sep}1{sep}", f"2{sep}1{sep}")
+    with pytest.raises(ValueError, match="out of range"):
+        parse_grid(text, fmt)

@@ -139,6 +139,48 @@ def test_kernel_structure_at_large_n(n):
     assert kernel(n) is kernel(n)
 
 
+STACKS = [pytest.param(lambda n=n: kernel(n), id=f"kernel{n}") for n in (2, 3, 4, 5, 6, 7, 8, 16, 32)]
+STACKS += [pytest.param(pair_kernel, id="pair"), pytest.param(su4_kernel, id="su4")]
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_stack_flat_view_shares_memory(stack):
+    # a stack that is not C-contiguous would make every grid copy the whole table
+    kern = stack()
+    assert kern.ops.flags.c_contiguous
+    assert np.shares_memory(kern.ops, kern.ops.reshape(-1, kern.dim**2))
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_grid_and_reconstruct_match_einsum_reference(rng, stack):
+    kern = stack()
+    n = kern.dim
+    rho = random_density(rng, n)
+    expected = np.einsum("...ij,ij->...", kern.ops.conj(), rho).real
+    np.testing.assert_allclose(wigner_grid(rho, kern), expected, rtol=0, atol=1e-12)
+    if kern is kernel(n):
+        w = rng.normal(size=(n, n))
+        expected = np.einsum("mn,mnij->ij", w, kern.ops) / n
+        np.testing.assert_allclose(reconstruct(w, kern), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_grid_ignores_input_memory_order(rng, stack):
+    kern = stack()
+    n = kern.dim
+    rho = random_density(rng, n)
+    for m in (rho, rho.T):
+        expected = wigner_grid(np.ascontiguousarray(m), kern)
+        np.testing.assert_array_equal(wigner_grid(np.asfortranarray(m), kern), expected)
+        np.testing.assert_array_equal(wigner_grid(m, kern), expected)
+    if kern is kernel(n):
+        w = rng.normal(size=(n, n))
+        for g in (w, w.T):
+            expected = reconstruct(np.ascontiguousarray(g))
+            np.testing.assert_array_equal(reconstruct(np.asfortranarray(g)), expected)
+            np.testing.assert_array_equal(reconstruct(g), expected)
+
+
 def test_kernel_qubit_pauli_traces():
     k = kernel(2)
     for mu in range(2):

@@ -1,11 +1,12 @@
-"""Property tests of the phase-point kernel over random states, N = 2..8."""
+"""Property tests of the phase-point kernel over random states, N = 2..8, and of the pair grid."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dwigner import purity, reconstruct, schwinger_pair, wigner_grid
+from dwigner import purity, reconstruct, schwinger_pair, wigner_grid, wigner_pair_from_matrix, wigner_su2
+from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -58,3 +59,25 @@ def test_parseval(pair):
     assert abs(np.sum(grid * grid) / n - purity(rho)) < 1e-12
     overlap = np.trace(rho @ sigma).real
     assert abs(np.sum(grid * wigner_grid(sigma)) / n - overlap) < 1e-12
+
+
+def _hermitian_unit_trace(parts):
+    # I/4 plus a traceless Hermitian part with entries of at most 0.1,
+    # so both reduced Bloch vectors lie inside the unit ball
+    a = parts[0] + 1j * parts[1]
+    h = (a + a.conj().T) / 2
+    return np.eye(4) / 4 + h - np.trace(h).real / 4 * np.eye(4)
+
+
+def _reduced_bloch(rho, which):
+    t = rho.reshape(2, 2, 2, 2)
+    reduced = np.einsum("ijkj->ik", t) if which == 1 else np.einsum("ijil->jl", t)
+    return np.array([np.trace(p @ reduced).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+@PROPERTY_SETTINGS
+@given(hnp.arrays(float, (2, 4, 4), elements=st.floats(-0.05, 0.05)).map(_hermitian_unit_trace))
+def test_pair_grid_half_sums_are_the_reduced_grids(rho):
+    pair = wigner_pair_from_matrix(rho)
+    np.testing.assert_allclose(pair.sum(axis=(2, 3)) / 2, wigner_su2(_reduced_bloch(rho, 1)), atol=1e-12)
+    np.testing.assert_allclose(pair.sum(axis=(0, 1)) / 2, wigner_su2(_reduced_bloch(rho, 2)), atol=1e-12)

@@ -181,6 +181,17 @@ def test_xstate_from_matrix_rejects_non_hermitian_input():
         xstate_from_matrix(m)
 
 
+def test_xstate_from_matrix_reads_the_hermitian_part():
+    m = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
+    m[0, 3], m[3, 0] = 0.1 + 1e-7j, 0.1
+    m[1, 2], m[2, 1] = 0.05, 0.05 - 1e-7j
+    rho = validate_density(m, 1e-5)
+    x = xstate_from_matrix(rho)
+    assert x.rho14 == 0.1 + 0.5e-7j and x.rho23 == 0.05 + 0.5e-7j
+    np.testing.assert_allclose(xstate_wigner(x, "su4"), wigner_su4(rho), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(xstate_wigner(x, "pair"), wigner_pair_from_matrix(rho), rtol=0, atol=1e-15)
+
+
 def test_xstate_su4_first_cell(rng):
     x = random_xstate(rng)
     grid = xstate_wigner(x, "su4")

@@ -96,6 +96,15 @@ def tensor_kernel_grid(rho):
     return grid
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+def test_fano_coefficients_reject_non_finite_fields(field, value):
+    fields = {"a": np.zeros(3), "b": np.zeros(3), "c": np.zeros((3, 3))}
+    fields[field].flat[-1] = value
+    with pytest.raises(ValueError, match="finite"):
+        FanoCoefficients(**fields)
+
+
 def test_fano_matrix_trivial():
     zero = FanoCoefficients(a=np.zeros(3), b=np.zeros(3), c=np.zeros((3, 3)))
     np.testing.assert_allclose(fano_matrix(zero), np.eye(4) / 4, atol=1e-15)
