@@ -28,8 +28,8 @@ from .io import GRID_FORMATS, emit_grid, parse_matrix, serialize_matrix
 from .linalg import (
     DEFAULT_TOLERANCE,
     DensityMatrixError,
+    hermitian_matrix,
     hermiticity_defect,
-    matrix_of,
     positivity_inequalities,
     validate_density,
 )
@@ -155,11 +155,11 @@ def named_state(name: str) -> np.ndarray:
 
 
 def _grid_for_rep(rho, rep: str) -> np.ndarray:
-    matrix = matrix_of(rho)
+    matrix = hermitian_matrix(rho)
     if rep == "su2":
         if matrix.shape[0] != 2:
             raise UsageError(f"representation su2 needs a 2x2 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
-        return wigner_su2(bloch_vector(matrix))
+        return wigner_su2(bloch_vector(rho))
     if matrix.shape[0] != 4:
         raise UsageError(f"representation {rep} needs a 4x4 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
     if rep == "su4":

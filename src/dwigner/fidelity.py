@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import matrix_of, purity
+from .linalg import hermitian_matrix, purity
 
 
 def state_overlap(a, b) -> float:
-    """Tr[rho sigma] for two matrices of the same dimension."""
-    ma = matrix_of(a)
-    mb = matrix_of(b)
+    """Tr[rho sigma] for two Hermitian matrices of the same dimension."""
+    ma = hermitian_matrix(a)
+    mb = hermitian_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
     return float(np.real(np.trace(ma @ mb)))

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import MappingKernel, _clock_shift, wigner_grid
-from .linalg import DEFAULT_TOLERANCE, matrix_of
+from .linalg import DEFAULT_TOLERANCE, hermitian_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -259,8 +259,8 @@ def verify_algebra(gs: GeneratorSet, tol: float = DEFAULT_TOLERANCE) -> AlgebraR
 
 
 def bloch_vector(rho, gs: GeneratorSet | None = None) -> np.ndarray:
-    """Generator mean values Tr[g_i rho] as a real vector of length N^2 - 1."""
-    a = matrix_of(rho)
+    """Generator mean values Tr[g_i rho] of a Hermitian matrix, a real vector of length N^2 - 1."""
+    a = hermitian_matrix(rho)
     if gs is None:
         gs = generators(a.shape[0])
     if gs.dim != a.shape[0]:

@@ -9,6 +9,7 @@ so parse(emit(grid)) reproduces the grid bit for bit.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -35,7 +36,8 @@ def parse_matrix(text) -> np.ndarray:
 
     Reports malformed syntax with line/column positions, ragged rows with
     the offending row index, and dimension mismatches with both sizes;
-    rejects a non-integer (or boolean) dimension and non-finite entries.
+    rejects a non-integer (or boolean) dimension, and entries that are not
+    finite JSON numbers (strings, booleans, nulls, lists, objects).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -63,7 +65,12 @@ def parse_matrix(text) -> np.ndarray:
                     f"row {index} of field {key!r} has {len(row) if isinstance(row, list) else 1} "
                     f"entries, expected {dim}"
                 )
-        parts[key] = np.array(rows, dtype=float)
+        if not {type(v) for row in rows for v in row} <= {int, float}:
+            raise ValueError(f"field {key!r} has entries that are not JSON numbers")
+        try:
+            parts[key] = np.array(rows, dtype=float)
+        except OverflowError:
+            raise ValueError(f"field {key!r} has non-finite entries") from None
         if not np.all(np.isfinite(parts[key])):
             raise ValueError(f"field {key!r} has non-finite entries")
     return parts["re"] + 1j * parts["im"]
@@ -111,18 +118,34 @@ def emit_grid(values, fmt: str = "csv") -> str:
 
 def _grid_index(value) -> int:
     # CSV and gnuplot fields are text, JSON fields numbers; a sign, a
-    # fraction or a bool is never an index, so nothing wraps around
-    if type(value) is str and value.strip().isdecimal():
+    # fraction, a bool or a non-ASCII digit is never an index, so nothing wraps around
+    if type(value) is str and value.isascii() and value.strip().isdecimal():
         return int(value)
     if type(value) is int and value >= 0:
         return value
     raise ValueError(f"grid index {value!r} is not a non-negative integer")
 
 
+def _grid_value(value) -> float:
+    # text in CSV and gnuplot, a number in JSON; a bool, a null or a
+    # non-finite value is never a grid value
+    if type(value) in (str, int, float):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"grid value {value!r} is not a finite number")
+
+
 def _rows_to_grid(rows) -> np.ndarray:
     rows = list(rows)
     if not rows:
         raise ValueError("grid file contains no rows")
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("every grid row must be a list of indices and a value")
     width = len(rows[0])
     if width == 3:
         n = round(len(rows) ** 0.5)
@@ -143,8 +166,9 @@ def _rows_to_grid(rows) -> np.ndarray:
         if index in seen:
             raise ValueError(f"duplicate grid index {index}")
         seen.add(index)
+        value = _grid_value(row[-1])
         try:
-            grid[index] = float(row[-1])
+            grid[index] = value
         except IndexError:
             raise ValueError(f"grid index {index} out of range for shape {grid.shape}") from None
     if len(seen) != grid.size:
@@ -156,7 +180,9 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
     """Parse a serialized grid back into an ndarray (inverse of emit_grid).
 
     Every index must be a non-negative integer inside the grid shape:
-    digits in CSV and gnuplot, a JSON integer in JSON.
+    ASCII digits in CSV and gnuplot, a JSON integer in JSON.  Every value
+    must be a finite number: text that ``float`` reads in CSV and gnuplot,
+    a JSON number that is not a bool in JSON.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -170,8 +196,8 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed grid file: {exc}") from exc
-        if not isinstance(doc, dict) or "rows" not in doc:
-            raise ValueError("grid file must be a JSON object with a 'rows' field")
+        if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+            raise ValueError("grid file must be a JSON object with a 'rows' list")
         return _rows_to_grid(doc["rows"])
     if fmt == "gnuplot":
         lines = [line for line in text.splitlines() if line.strip()]

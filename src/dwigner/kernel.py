@@ -138,10 +138,9 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
     density matrix.  The values are one matrix-vector product: the stack
     viewed as a flat (cells, n^2) matrix, without a copy, times the n^2
-    entries of conj(rho).  The input must be Hermitian to its own
-    tolerance: the one it was validated at for a DensityMatrix, 1e-10 for
-    a raw array.  Within that tolerance the values are those of its
-    Hermitian part, since every cell operator is Hermitian.
+    entries of conj(rho).  A DensityMatrix is exactly Hermitian; a raw
+    array must be Hermitian within 1e-10, and its values are then those
+    of its Hermitian part, since every cell operator is Hermitian.
     """
     a = hermitian_matrix(rho)
     if kern is None:

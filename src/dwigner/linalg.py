@@ -66,10 +66,12 @@ class DensityMatrixError(ValueError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, positive semidefinite."""
+    """A validated density matrix: exactly Hermitian, unit trace, positive semidefinite.
+
+    Made only by ``validate_density``, which stores the read-only Hermitian part.
+    """
 
     matrix: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def dim(self) -> int:
@@ -79,34 +81,29 @@ class DensityMatrix:
         return np.array(self.matrix, dtype=dtype)
 
 
-def matrix_of(rho) -> np.ndarray:
-    """Unwrap a DensityMatrix, or coerce a raw array, to a complex ndarray."""
+def hermitian_matrix(rho) -> np.ndarray:
+    """A state's matrix: a DensityMatrix's own, unchecked and uncopied, as it is Hermitian.
+
+    A raw array is coerced by ``as_matrix`` and must be Hermitian within DEFAULT_TOLERANCE.
+    """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    return as_matrix(rho)
-
-
-def hermitian_matrix(rho) -> np.ndarray:
-    """``matrix_of(rho)``, checked to be Hermitian within the input's own tolerance.
-
-    That is the tolerance a DensityMatrix was validated at, else DEFAULT_TOLERANCE.
-    """
-    a = matrix_of(rho)
-    tol = rho.tolerance if isinstance(rho, DensityMatrix) else DEFAULT_TOLERANCE
+    a = as_matrix(rho)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > DEFAULT_TOLERANCE:
         raise ValueError(
-            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.1e}, "
-            "so its phase-space values would have an imaginary part"
+            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
+            f"{DEFAULT_TOLERANCE:.1e}, so its phase-space values would have an imaginary part"
         )
     return a
 
 
 def validate_density(m, tol: float | None = None) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positive semidefiniteness.
+    """Check Hermiticity, unit trace and positive semidefiniteness within ``tol``.
 
     Raises DensityMatrixError listing every violated invariant together
-    with its measured magnitude.
+    with its measured magnitude.  Stores the Hermitian part (a + a†)/2,
+    which is ``a`` bit for bit when ``a`` is exactly Hermitian.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
@@ -124,14 +121,13 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
         violations.append(("positive semidefiniteness", -min_eigenvalue))
     if violations:
         raise DensityMatrixError(violations, a)
-    frozen = a.copy()
-    frozen.flags.writeable = False
-    return DensityMatrix(matrix=frozen, tolerance=tol)
+    hermitian_part.flags.writeable = False
+    return DensityMatrix(matrix=hermitian_part)
 
 
 def purity(rho) -> float:
     """Tr[rho^2]; 1 for pure states, 1/N for the maximally mixed state."""
-    a = matrix_of(rho)
+    a = hermitian_matrix(rho)
     return float(np.real(np.trace(a @ a)))
 
 
@@ -156,8 +152,8 @@ class PositivityReport:
 
 
 def positivity_inequalities(rho, tol: float = DEFAULT_TOLERANCE) -> PositivityReport:
-    """Evaluate the three trace-moment inequalities for a 4x4 matrix."""
-    a = matrix_of(rho)
+    """Evaluate the three trace-moment inequalities for a Hermitian 4x4 matrix."""
+    a = hermitian_matrix(rho)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
     a2 = a @ a

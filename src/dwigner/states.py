@@ -139,7 +139,7 @@ class XState:
 def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     """Read a Hermitian X-form matrix into its six potentially nonzero elements.
 
-    ``tol`` bounds the elements off the X pattern; ``hermitian_matrix`` checks Hermiticity.
+    ``tol`` bounds the elements off the X pattern; ``hermitian_matrix`` guards Hermiticity.
     The coherences are read from the Hermitian part, as every grid is.
     """
     a = hermitian_matrix(m)

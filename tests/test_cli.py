@@ -1,10 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dwigner import bell, parse_grid, parse_matrix, serialize_matrix, werner, wigner_su4
+from dwigner import bell, parse_grid, parse_matrix, serialize_matrix, validate_density, werner, wigner_su4
 from dwigner.cli import main
+from helpers import random_density, random_xstate
 
 
 @pytest.fixture
@@ -229,3 +232,27 @@ def test_wigner_su4_honours_tolerance_environment(matrix_file, capsys, monkeypat
     grid = parse_grid(capsys.readouterr().out, "json")
     hermitian_part = (slightly_off + slightly_off.conj().T) / 2
     np.testing.assert_allclose(grid, wigner_su4(hermitian_part), atol=1e-12)
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("dwigner ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, rng):
+    monkeypatch.chdir(tmp_path)
+    for name, matrix in [
+        ("rho.json", random_density(rng, 4)),
+        ("x.json", random_xstate(rng).matrix()),
+        ("a.json", random_density(rng, 4)),
+        ("b.json", random_density(rng, 4)),
+    ]:
+        (tmp_path / name).write_text(serialize_matrix(matrix), encoding="utf-8")
+    lines = _readme_cli_lines()
+    assert len(lines) == 12
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if argv[-2:] == ["--emit", "matrix"]:
+            validate_density(parse_matrix(out))

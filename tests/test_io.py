@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwigner import (
     bell_wigner_su4,
@@ -186,3 +188,144 @@ def test_parse_grid_rejects_index_outside_the_shape(fmt):
         text = text.replace(f"1{sep}1{sep}", f"2{sep}1{sep}")
     with pytest.raises(ValueError, match="out of range"):
         parse_grid(text, fmt)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "0x1", "true"])
+@pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+def test_parse_grid_rejects_text_values_that_are_not_finite_numbers(fmt, value):
+    text = emit_grid(np.zeros((2, 2)), fmt).replace("0.0", value, 1)
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_grid(text, fmt)
+
+
+def _json_grid_value(value):
+    return '{"rows": [[0, 0, %s], [0, 1, 0.5], [1, 0, 0.0], [1, 1, 0.0]]}' % value
+
+
+def test_parse_grid_rejects_boolean_json_value():
+    assert parse_grid(_json_grid_value("1"), "json")[0, 0] == 1.0
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_grid(_json_grid_value("true"), "json")
+
+
+def test_parse_grid_rejects_null_json_value():
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_grid(_json_grid_value("null"), "json")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", "1" + "0" * 400])
+def test_parse_grid_rejects_non_finite_json_value(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_grid(_json_grid_value(value), "json")
+
+
+@pytest.mark.parametrize("rows", ["[1, 2, 3, 4]", "[[0, 0, 1], 2, 3, 4]", "5", "null", '"rows"'])
+def test_parse_grid_rejects_json_rows_that_are_not_lists(rows):
+    with pytest.raises(ValueError, match="list"):
+        parse_grid('{"rows": %s}' % rows, "json")
+
+
+@pytest.mark.parametrize("digit", ["\u0660", "\u0661", "\uff11", "\u00b9"])
+@pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+def test_parse_grid_index_is_ascii_digits_only(fmt, digit):
+    sep = "," if fmt == "csv" else " "
+    text = emit_grid(np.zeros((2, 2)), fmt)
+    assert parse_grid(text, fmt).shape == (2, 2)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid(text.replace(f"1{sep}1{sep}", f"{digit}{sep}1{sep}"), fmt)
+
+
+@pytest.mark.parametrize("entry", ['"1"', "true", "false", "null", "[1]", "{}"])
+def test_parse_matrix_entries_must_be_json_numbers(entry):
+    assert np.array_equal(parse_matrix('{"dim":2,"re":[[1,0],[0,1.0]],"im":[[0,0],[0,0]]}'), np.eye(2))
+    with pytest.raises(ValueError, match="not JSON numbers"):
+        parse_matrix('{"dim":2,"re":[[%s,0],[0,1]],"im":[[0,0],[0,0]]}' % entry)
+    with pytest.raises(ValueError, match="not JSON numbers"):
+        parse_matrix('{"dim":2,"re":[[1,0],[0,1]],"im":[[0,0],[%s,0]]}' % entry)
+
+
+def test_parse_matrix_rejects_an_integer_beyond_float_range():
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_matrix('{"dim":1,"re":[[%s]],"im":[[0]]}' % ("1" + "0" * 400))
+
+
+FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+small_json = st.one_of(json_leaves, st.lists(json_leaves, max_size=5))
+matrix_docs = st.fixed_dictionaries(
+    {"dim": st.one_of(st.integers(0, 3), json_trees), "re": json_trees, "im": json_trees}
+) | st.fixed_dictionaries(
+    {
+        "dim": st.just(2),
+        "re": st.lists(st.lists(small_json, min_size=2, max_size=2), min_size=2, max_size=2),
+        "im": st.lists(st.lists(small_json, min_size=2, max_size=2), min_size=2, max_size=2),
+    }
+)
+grid_docs = st.fixed_dictionaries({"rows": json_trees}) | st.fixed_dictionaries(
+    {"rows": st.lists(st.one_of(small_json, st.lists(small_json, min_size=3, max_size=3)), min_size=4, max_size=4)}
+)
+grid_tokens = st.one_of(
+    st.sampled_from(["0", "1", " 1", "-1", "1.5", "nan", "inf", "1e999", "\u0661", "true", "", "x"]),
+    st.text(max_size=4),
+)
+
+
+def _two_by_two_with(position_token):
+    # a complete 2x2 grid with one field replaced
+    rows = [[str(mu), str(nu), "0.5"] for mu in range(2) for nu in range(2)]
+    position, token = position_token
+    rows[position // 3][position % 3] = token
+    return rows
+
+
+grid_texts = st.lists(st.lists(grid_tokens, min_size=1, max_size=6), max_size=6) | st.tuples(
+    st.integers(0, 11), grid_tokens
+).map(_two_by_two_with)
+
+
+def _finite_or_value_error(parse, text):
+    # a parser either returns finite numbers or raises ValueError, nothing else
+    try:
+        parsed = parse(text)
+    except ValueError:
+        return
+    assert np.all(np.isfinite(parsed))
+
+
+@FUZZ_SETTINGS
+@given(st.one_of(json_trees, matrix_docs))
+def test_fuzz_parse_matrix_raises_finite_or_value_error(doc):
+    _finite_or_value_error(parse_matrix, json.dumps(doc))
+
+
+@FUZZ_SETTINGS
+@given(st.one_of(json_trees, grid_docs))
+def test_fuzz_parse_json_grid_raises_finite_or_value_error(doc):
+    _finite_or_value_error(lambda text: parse_grid(text, "json"), json.dumps(doc))
+
+
+@FUZZ_SETTINGS
+@given(grid_texts, st.sampled_from([("csv", ","), ("gnuplot", " ")]))
+def test_fuzz_parse_text_grid_raises_finite_or_value_error(lines, fmt_sep):
+    fmt, sep = fmt_sep
+    text = "\n".join(sep.join(tokens) for tokens in lines)
+    _finite_or_value_error(lambda t: parse_grid(t, fmt), ("mu,nu,w\n" if fmt == "csv" else "") + text)
+
+
+@FUZZ_SETTINGS
+@given(st.text(max_size=40), st.sampled_from(["csv", "json", "gnuplot", "matrix"]))
+def test_fuzz_free_text_raises_finite_or_value_error(text, fmt):
+    parse = parse_matrix if fmt == "matrix" else (lambda t: parse_grid(t, fmt))
+    _finite_or_value_error(parse, text)

@@ -1,16 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dwigner import (
+    DensityMatrix,
     DensityMatrixError,
+    bloch_vector,
     hermitian_eigenvalues,
     positivity_inequalities,
     purity,
+    state_overlap,
+    super_fidelity,
     trace_product,
     validate_density,
     werner,
 )
 from dwigner.generators import PAULI_X, PAULI_Y
+from dwigner.linalg import hermitian_matrix, hermiticity_defect
 from helpers import random_density, random_hermitian_unit_trace
 
 
@@ -184,3 +191,58 @@ def test_positivity_iff_nonnegative_spectrum(rng):
         if abs(min_eig) < 1e-8:
             continue  # skip samples too close to the boundary for a clean verdict
         assert positivity_inequalities(m).all_hold == (min_eig >= 0)
+
+
+def test_density_matrix_has_the_single_field_matrix():
+    assert [field.name for field in dataclasses.fields(DensityMatrix)] == ["matrix"]
+
+
+def test_hermitian_matrix_trusts_a_validated_state(rng):
+    dm = validate_density(random_density(rng, 4))
+    assert hermitian_matrix(dm) is dm.matrix
+    assert not dm.matrix.flags.writeable
+
+
+def test_validated_state_stores_the_exact_hermitian_part():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-7j
+    dm = validate_density(m, 1e-5)
+    assert hermiticity_defect(dm.matrix) == 0
+    np.testing.assert_array_equal(dm.matrix, (m + m.conj().T) / 2)
+
+
+def test_validated_hermitian_input_is_stored_bit_for_bit(rng):
+    rho = random_density(rng, 4)
+    m = (rho + rho.conj().T) / 2
+    assert hermiticity_defect(m) == 0
+    np.testing.assert_array_equal(validate_density(m).matrix, m)
+
+
+def _skewed(n, shift):
+    # I/n with rho[0,1] += shift: purity, overlaps and the Bloch vector of
+    # such a matrix are not those of any state
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] += shift
+    return m
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        bloch_vector,
+        purity,
+        lambda m: state_overlap(m, np.eye(m.shape[0]) / m.shape[0]),
+        lambda m: state_overlap(np.eye(m.shape[0]) / m.shape[0], m),
+        lambda m: super_fidelity(m, m),
+    ],
+    ids=["bloch_vector", "purity", "state_overlap_a", "state_overlap_b", "super_fidelity"],
+)
+@pytest.mark.parametrize("n", [2, 4])
+def test_state_readers_reject_non_hermitian_input(reader, n):
+    with pytest.raises(ValueError, match="would have an imaginary part"):
+        reader(_skewed(n, 0.3j))
+
+
+def test_positivity_inequalities_reject_non_hermitian_input():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        positivity_inequalities(_skewed(4, 0.1j))
