@@ -46,6 +46,21 @@ class UsageError(ValueError):
     """Bad argument values detected after argparse (exit code 2)."""
 
 
+class _ArgumentError(Exception):
+    """An argparse usage error, with the (sub)command parser that found it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that hands its usage errors to ``main``, which reports them."""
+
+    def error(self, message):
+        raise _ArgumentError(self, message)
+
+
 def _tolerance() -> float:
     raw = os.environ.get("DWIGNER_TOLERANCE")
     if raw is None:
@@ -128,16 +143,17 @@ def named_state(name: str) -> np.ndarray:
         if kind == "gisin":
             params = _parse_params(rest, name)
             if "a" in params or "b" in params:
-                return gisin(
-                    _float_param(params, "a", name),
-                    _float_param(params, "b", name),
-                    _float_param(params, "x", name),
-                ).matrix()
-            return gisin_from_combinations(
-                _float_param(params, "s", name),
-                _float_param(params, "p", name),
-                _float_param(params, "x", name),
-            ).matrix()
+                family, keys = gisin, ("a", "b", "x")
+            else:
+                family, keys = gisin_from_combinations, ("s", "p", "x")
+            state = family(*(_float_param(params, key, name) for key in keys))
+            # the library keeps such X states representable; the CLI emits only states
+            if not state.is_physical():
+                raise UsageError(
+                    f"state {name!r} is not positive semidefinite: |rho23|^2 = {abs(state.rho23) ** 2:.6g} "
+                    f"exceeds rho22 rho33 = {state.rho22 * state.rho33:.6g}"
+                )
+            return state.matrix()
         if kind == "level":
             level = int(rest)
             if not 0 <= level <= 3:
@@ -256,7 +272,7 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dwigner",
         description="Discrete phase-space toolkit for qubit pairs and ququarts.",
     )
@@ -316,8 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # a namespace of our own keeps --json-errors, read before any later argument fails
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, namespace=args)
+    except _ArgumentError as exc:
+        if getattr(args, "json_errors", False):
+            _report_error(str(exc), True, "usage")
+        else:
+            # argparse's own report: the failing (sub)command's usage, then the message
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return int(exc.code or 0)
     json_errors = args.json_errors

@@ -10,7 +10,7 @@ the half-phase branch is w^(1/2) = exp(i pi / N).
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,6 +88,21 @@ def hermitizing_phase(eta: int, xi: int, n: int) -> complex:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class PhasePointFactors:
+    """The n x n tables from which ``kernel(n)`` is evaluated without its n^4 table.
+
+    ``dft[a, b] = w^(ab)`` and ``dft_h`` is its conjugate; ``spectrum = dft conj(c) / n``,
+    the conjugate of F† c / n, diagonalizes the cyclic correlation in j of the closed form
+    (see ``kernel``); ``gather[j, xi] = j n + (j + xi) mod n`` is the flat index of
+    rho[j, (j + xi) mod n].
+    """
+
+    dft: np.ndarray
+    dft_h: np.ndarray
+    spectrum: np.ndarray
+    gather: np.ndarray
+
+
 class MappingKernel:
     """Stack of n x n cell operators, one per point of a phase-space grid.
 
@@ -96,15 +111,49 @@ class MappingKernel:
     every operator has unit trace, the family is trace-orthogonal with
     normalization Tr[G†(p) G(q)] = n * delta(p, q), and the average over
     all points is the identity; only that stack can be inverted by
-    ``reconstruct``.  Every stack in the package is C-contiguous, so the
-    flat (cells, n^2) view that ``wigner_grid`` contracts is not a copy.
+    ``reconstruct``.  ``kernel(n)`` carries ``factors`` instead of a
+    stack: ``wigner_grid`` and ``reconstruct`` evaluate it from them, and
+    its read-only ``ops`` table is built only on first access.  Every
+    stack in the package is C-contiguous, so the flat (cells, n^2) view
+    that ``wigner_grid`` contracts is not a copy.
     """
 
-    dim: int
-    ops: np.ndarray  # shape (*grid, n, n)
+    def __init__(self, dim: int, ops: np.ndarray | None = None, factors: PhasePointFactors | None = None):
+        if (ops is None) == (factors is None):
+            raise ValueError("a mapping kernel carries either a stack of operators or phase-point factors")
+        self.dim = dim
+        self.factors = factors
+        if ops is not None:
+            self.ops = ops  # shape (*grid, n, n)
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        """The (*grid, n, n) stack; for ``kernel(n)``, its phase-point table built on first access."""
+        return _phase_point_table(self.dim)
 
     def __getitem__(self, key) -> np.ndarray:
         return self.ops[key]
+
+
+def _cell_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the DFT matrix w^(ab) and c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m)
+    idx = np.arange(n)
+    h = np.array([[hermitizing_phase(eta, xi, n) for xi in range(n)] for eta in range(n)])
+    products = np.outer(idx, idx)
+    half = np.exp(1j * np.pi * (products % (2 * n)) / n)  # w^(eta xi / 2)
+    dft = np.exp(2j * np.pi * (products % n) / n)  # w^(m eta)
+    return dft, dft @ (h * half) / n
+
+
+def _phase_point_table(n: int) -> np.ndarray:
+    # G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi], xi = (k - j) mod n: O(n^4) in time and memory
+    _, c = _cell_coefficients(n)
+    idx = np.arange(n)
+    diff = (idx[None, :] - idx[:, None]) % n  # diff[a, b] = (b - a) mod n
+    shift = np.exp(-2j * np.pi * (np.multiply.outer(idx, diff) % n) / n)  # w^(-nu xi)[nu, j, k]
+    ops = c[diff[:, :, None], diff[None, :, :]][:, None] * shift[None]
+    ops.flags.writeable = False
+    return ops
 
 
 @lru_cache(maxsize=None)
@@ -114,39 +163,47 @@ def kernel(n: int) -> MappingKernel:
     G(mu, nu) = n^(-1/2) sum_{eta, xi < n} w^(-(mu eta + nu xi)) h(eta, xi) S(eta, xi) over the
     symmetrized basis S with hermitizing phase h.  As u^eta v^xi puts w^(eta j) at (j, j + xi),
     G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi] with xi = (k - j) mod n and
-    c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m): one n x n DFT product and one
-    gather, O(n^4) in time and memory.
+    c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m).  So a grid is a gather of rho
+    along its cyclic diagonals, a cyclic correlation in j with c (diagonal under the DFT) and
+    one DFT along xi (Vourdas, Rep. Prog. Phys. 67, 267 (2004)).  The kernel carries only the
+    n x n ``PhasePointFactors`` of these steps, built in O(n^3); its ``ops`` table is built in
+    O(n^4) time and memory only on first access.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
+    dft, c = _cell_coefficients(n)
+    dft_h = dft.conj()
     idx = np.arange(n)
-    h = np.array([[hermitizing_phase(eta, xi, n) for xi in range(n)] for eta in range(n)])
-    products = np.outer(idx, idx)
-    half = np.exp(1j * np.pi * (products % (2 * n)) / n)  # w^(eta xi / 2)
-    dft = np.exp(2j * np.pi * (products % n) / n)  # w^(m eta)
-    c = dft @ (h * half) / n
-    diff = (idx[None, :] - idx[:, None]) % n  # diff[a, b] = (b - a) mod n
-    shift = np.exp(-2j * np.pi * (np.multiply.outer(idx, diff) % n) / n)  # w^(-nu xi)[nu, j, k]
-    ops = c[diff[:, :, None], diff[None, :, :]][:, None] * shift[None]
-    ops.flags.writeable = False
-    return MappingKernel(dim=n, ops=ops)
+    tables = (dft, dft_h, dft @ c.conj() / n, idx[:, None] * n + (idx[:, None] + idx[None, :]) % n)
+    for table in tables:
+        table.flags.writeable = False
+    return MappingKernel(dim=n, factors=PhasePointFactors(*tables))
 
 
 def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
-    density matrix.  The values are one matrix-vector product: the stack
-    viewed as a flat (cells, n^2) matrix, without a copy, times the n^2
-    entries of conj(rho).  A DensityMatrix is exactly Hermitian; a raw
-    array must be Hermitian within 1e-10, and its values are then those
-    of its Hermitian part, since every cell operator is Hermitian.
+    density matrix.  Over ``kernel(n)`` the values take O(n^3) time and
+    O(n^2) memory: gather R[j, xi] = rho[j, (j + xi) mod n], correlate
+    R with conj(c) along j through two DFT products and the cached
+    spectrum, and take one DFT along xi.  Over any other stack they are
+    one matrix-vector product: the stack viewed as a flat (cells, n^2)
+    matrix, without a copy, times the n^2 entries of conj(rho).  A
+    DensityMatrix is exactly Hermitian; a raw array must be Hermitian
+    within 1e-10, and its values are then those of its Hermitian part,
+    since every cell operator is Hermitian.
     """
     a = hermitian_matrix(rho)
     if kern is None:
         kern = kernel(a.shape[0])
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
+    f = kern.factors
+    if f is not None:
+        # W(mu, nu) = Re sum_xi w^(nu xi) sum_j conj(c[(j - mu) mod n, xi]) R[j, xi]
+        r = a.take(f.gather)
+        return (f.dft @ (f.spectrum * (f.dft_h @ r)) @ f.dft).real
     # Re Tr[G† a] = Re Tr[G a*ᵀ]: conjugating the small matrix, not the table
     n = kern.dim
     flat = kern.ops.reshape(-1, n * n)
@@ -156,22 +213,29 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 
-    The sum is one vector-matrix product: the n^2 grid values times the
-    stack viewed as a flat (n^2, n^2) matrix, without a copy.  Only the
-    trace-orthogonal ``kernel(n)`` is inverted this way; any other stack
-    (the pair or four-level closed-form stacks) raises.
+    Only the trace-orthogonal ``kernel(n)`` is inverted; any other stack
+    (the pair or four-level closed-form stacks) raises.  The sum is the
+    adjoint of ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory:
+    one DFT product along nu, the cyclic convolution in mu with c through
+    two DFT products and the cached spectrum, and a scatter of each
+    R[j, xi] back to rho[j, (j + xi) mod n].
     """
     w = np.asarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square grid, got shape {w.shape}")
     if kern is None:
         kern = kernel(w.shape[0])
-    if kern is not kernel(kern.dim):
+    f = kern.factors
+    if f is None:
         raise ValueError("reconstruct inverts only the phase-point kernel kernel(n)")
     if kern.dim != w.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs grid {w.shape[0]}")
     n = kern.dim
-    return (w.ravel() @ kern.ops.reshape(n * n, n * n)).reshape(n, n) / n
+    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi), as the conjugate
+    r = (f.dft_h @ (f.spectrum * (f.dft @ w @ f.dft))).conj() / n
+    rho = np.empty((n, n), dtype=complex)
+    rho.put(f.gather, r)
+    return rho
 
 
 def _check_grid(values) -> np.ndarray:

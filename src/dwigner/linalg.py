@@ -68,10 +68,19 @@ class DensityMatrixError(ValueError):
 class DensityMatrix:
     """A validated density matrix: exactly Hermitian, unit trace, positive semidefinite.
 
-    Made only by ``validate_density``, which stores the read-only Hermitian part.
+    Made by ``validate_density``, which stores the read-only Hermitian part.  Construction
+    refuses a matrix that is not square or not exactly equal to its conjugate transpose, so
+    ``hermitian_matrix`` can trust every instance.
     """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        m = self.matrix
+        if not isinstance(m, np.ndarray) or m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"a DensityMatrix holds a square matrix, got shape {np.shape(m)}")
+        if not (m == m.conj().T).all():
+            raise ValueError("a DensityMatrix holds an exactly Hermitian matrix; build one with validate_density")
 
     @property
     def dim(self) -> int:

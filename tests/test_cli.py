@@ -256,3 +256,37 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, rng):
         out = capsys.readouterr().out
         if argv[-2:] == ["--emit", "matrix"]:
             validate_density(parse_matrix(out))
+
+
+@pytest.mark.parametrize("name", ["gisin:a=0.8,b=0.6,x=1", "gisin:s=0.28,p=0.48,x=1"])
+@pytest.mark.parametrize("emit", ["matrix", "wigner"])
+def test_state_refuses_a_gisin_state_outside_the_coherence_bound(capsys, name, emit):
+    # rho23^2 = 0.2304 > rho22 rho33 = 0.1716: the matrix has an eigenvalue -0.0557
+    assert main(["state", "--name", name, "--emit", emit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not positive semidefinite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wigner"], "the following arguments are required: --input"),
+        ([], "the following arguments are required: command"),
+        (["algorithm", "--pulse", "3"], "argument --pulse: invalid choice: 3 (choose from 2, 6)"),
+    ],
+)
+def test_json_errors_covers_argument_errors(capsys, argv, message):
+    assert main(["--json-errors", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message, "kind": "usage"}
+
+
+def test_argument_errors_without_json_errors_are_argparse_text(capsys):
+    assert main(["wigner"]) == 2
+    assert capsys.readouterr().err == (
+        "usage: dwigner wigner [-h] --input INPUT [--rep {su2,su4,pair}]\n"
+        "                      [--output OUTPUT] [--format {csv,json,gnuplot}]\n"
+        "dwigner wigner: error: the following arguments are required: --input\n"
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -368,3 +370,55 @@ def test_overlap_shape_mismatch():
 def test_overlap_rejects_malformed_shapes(shape):
     with pytest.raises(ValueError, match="grid"):
         grid_overlap(np.ones(shape), np.ones(shape))
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_factored_kernel_matches_its_table(rng, n):
+    # an uncached kernel, so its n^4 table is freed after the test
+    kern = kernel.__wrapped__(n)
+    rho = random_density(rng, n)
+    w = rng.normal(size=(n, n))
+    grid, back = wigner_grid(rho, kern), reconstruct(w, kern)
+    assert "ops" not in vars(kern)
+    expected = np.einsum("...ij,ij->...", kern.ops.conj(), rho).real
+    np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(back, np.einsum("mn,mnij->ij", w, kern.ops) / n, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", (64, 128))
+def test_factored_kernel_properties_at_large_n(rng, n):
+    u, v = schwinger_pair(n).u, schwinger_pair(n).v
+    for _ in range(3):
+        rho, sigma = random_density(rng, n), random_density(rng, n)
+        grid = wigner_grid(rho)
+        np.testing.assert_allclose(wigner_grid(u @ rho @ u.conj().T), np.roll(grid, 1, axis=1), atol=1e-12)
+        np.testing.assert_allclose(wigner_grid(v @ rho @ v.conj().T), np.roll(grid, -1, axis=0), atol=1e-12)
+        np.testing.assert_allclose(reconstruct(grid), rho, atol=1e-12)
+        assert abs(np.sum(grid) / n - 1.0) < 1e-12
+        assert abs(np.sum(grid * grid) / n - purity(rho)) < 1e-12
+        assert abs(np.sum(grid * wigner_grid(sigma)) / n - np.trace(rho @ sigma).real) < 1e-12
+    assert "ops" not in vars(kernel(n))
+
+
+def test_factored_round_trip_memory_is_quadratic(rng):
+    # the n^4 table at n = 64 would take 268 MB
+    n = 64
+    rho = random_density(rng, n)
+    tracemalloc.start()
+    try:
+        back = reconstruct(wigner_grid(rho))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert "ops" not in vars(kernel(n))
+    np.testing.assert_allclose(back, rho, atol=1e-12)
+
+
+def test_kernel_table_is_built_once_on_first_access():
+    kern = kernel.__wrapped__(3)
+    assert "ops" not in vars(kern)
+    ops = kern.ops
+    assert kern.ops is ops
+    assert not ops.flags.writeable
+    assert not any(table.flags.writeable for table in vars(kern.factors).values())

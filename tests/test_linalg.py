@@ -246,3 +246,18 @@ def test_state_readers_reject_non_hermitian_input(reader, n):
 def test_positivity_inequalities_reject_non_hermitian_input():
     with pytest.raises(ValueError, match="not Hermitian"):
         positivity_inequalities(_skewed(4, 0.1j))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.eye(4) / 4 + 0.3j * np.outer(np.eye(4)[0], np.eye(4)[1]), np.ones((2, 3)) / 2, np.ones(4) / 4, [[1.0, 0.0], [0.0, 0.0]]],
+    ids=["not-hermitian", "not-square", "vector", "list"],
+)
+def test_density_matrix_refuses_a_matrix_outside_its_contract(matrix):
+    with pytest.raises(ValueError, match="DensityMatrix"):
+        DensityMatrix(matrix)
+
+
+def test_density_matrix_accepts_an_exactly_hermitian_matrix(rng):
+    m = random_hermitian_unit_trace(rng, 4)
+    assert DensityMatrix(m).matrix is m

@@ -446,3 +446,12 @@ def test_pair_delta_of_werner_cases():
     for fraction, expected in cases.items():
         delta = delta_pair(fano_extract(werner(fraction)))
         assert set(np.round(delta.reshape(-1), 12)) == expected
+
+
+def test_gisin_coherence_bound_is_rho23_squared_against_rho22_rho33():
+    # |rho23|^2 <= rho22 rho33 reads p^2 <= 1/4 - s^2 for every mixing x > 0
+    s = 0.3
+    assert gisin_from_combinations(s, np.sqrt(0.25 - s * s), 0.7).is_physical()
+    outside = gisin_from_combinations(s, np.sqrt(0.25 - s * s) + 1e-4, 0.7)
+    assert not outside.is_physical()
+    assert np.linalg.eigvalsh(outside.matrix())[0] < 0
