@@ -269,11 +269,13 @@ def bloch_vector(rho, gs: GeneratorSet | None = None) -> np.ndarray:
 
 
 def density_from_bloch(components, n: int) -> np.ndarray:
-    """Rebuild the matrix I/n + (1/2) sum_i components_i g_i."""
+    """Rebuild the matrix I/n + (1/2) sum_i components_i g_i; a NaN or infinite component raises."""
     v = np.asarray(components, dtype=float)
     gs = generators(n)
     if v.shape != (len(gs),):
         raise ValueError(f"expected {len(gs)} components, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"components must be finite, got {v.tolist()}")
     return np.eye(n, dtype=complex) / n + 0.5 * np.einsum("i,iab->ab", v, gs.stack())
 
 

@@ -8,6 +8,7 @@ so parse(emit(grid)) reproduces the grid bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -23,11 +24,7 @@ def serialize_matrix(m) -> str:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    doc = {
-        "dim": int(a.shape[0]),
-        "re": [[float(v) for v in row] for row in a.real],
-        "im": [[float(v) for v in row] for row in a.imag],
-    }
+    doc = {"dim": int(a.shape[0]), "re": a.real.tolist(), "im": a.imag.tolist()}
     return json.dumps(doc, sort_keys=True)
 
 
@@ -76,11 +73,6 @@ def parse_matrix(text) -> np.ndarray:
     return parts["re"] + 1j * parts["im"]
 
 
-def _grid_rows(values: np.ndarray):
-    for index in np.ndindex(values.shape):
-        yield index, values[index]
-
-
 def _columns(w: np.ndarray) -> list[str]:
     if w.ndim == 2:
         return ["mu", "nu", "w"]
@@ -92,26 +84,32 @@ def emit_grid(values, fmt: str = "csv") -> str:
 
     Formats: ``csv`` with an index header, ``json`` with explicit column
     names, or ``gnuplot`` whitespace columns with a blank line between
-    blocks of the leading index.
+    blocks of the leading index.  A NaN or infinite value raises
+    ``ValueError``, as ``parse_grid`` would refuse it.
     """
     w = _check_grid(values)
+    flat = w.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("grid values must be finite")
+    # (index tuple, Python float) pairs in lexicographic index order
+    grid_rows = zip(itertools.product(*map(range, w.shape)), flat)
     columns = _columns(w)
     if fmt == "csv":
         lines = [",".join(columns)]
-        for index, value in _grid_rows(w):
-            lines.append(",".join([str(i) for i in index] + [repr(float(value))]))
+        for index, value in grid_rows:
+            lines.append(",".join([*map(str, index), repr(value)]))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        rows = [[*(int(i) for i in index), float(value)] for index, value in _grid_rows(w)]
+        rows = [[*index, value] for index, value in grid_rows]
         return json.dumps({"columns": columns, "rows": rows}) + "\n"
     if fmt == "gnuplot":
         lines = []
         previous_block = None
-        for index, value in _grid_rows(w):
+        for index, value in grid_rows:
             if previous_block is not None and index[0] != previous_block:
                 lines.append("")
             previous_block = index[0]
-            lines.append(" ".join([str(i) for i in index] + [repr(float(value))]))
+            lines.append(" ".join([*map(str, index), repr(value)]))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
 

@@ -10,6 +10,7 @@ the half-phase branch is w^(1/2) = exp(i pi / N).
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -210,15 +211,24 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     return (flat @ a.conj().ravel()).real.reshape(kern.ops.shape[:-2])
 
 
+def _coefficient_map(kern: MappingKernel, basis) -> np.ndarray:
+    # column k is wigner_grid(B_k).ravel(); a grid is linear in rho over the reals, so for
+    # rho = sum_k t_k B_k with Hermitian B_k and real t_k it is this (cells, k) matrix times t
+    table = np.stack([wigner_grid(b, kern).ravel() for b in basis], axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 
-    Only the trace-orthogonal ``kernel(n)`` is inverted; any other stack
-    (the pair or four-level closed-form stacks) raises.  The sum is the
-    adjoint of ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory:
-    one DFT product along nu, the cyclic convolution in mu with c through
-    two DFT products and the cached spectrum, and a scatter of each
-    R[j, xi] back to rho[j, (j + xi) mod n].
+    A grid with a NaN or infinite value raises ``ValueError``.  Only the
+    trace-orthogonal ``kernel(n)`` is inverted; any other stack (the pair
+    or four-level closed-form stacks) raises.  The sum is the adjoint of
+    ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory: one DFT
+    product along nu, the cyclic convolution in mu with c through two DFT
+    products and the cached spectrum, and a scatter of each R[j, xi] back
+    to rho[j, (j + xi) mod n].
     """
     w = np.asarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -230,6 +240,8 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         raise ValueError("reconstruct inverts only the phase-point kernel kernel(n)")
     if kern.dim != w.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs grid {w.shape[0]}")
+    if not np.isfinite(w).all():
+        raise ValueError("grid values must be finite")
     n = kern.dim
     # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi), as the conjugate
     r = (f.dft_h @ (f.spectrum * (f.dft @ w @ f.dft))).conj() / n
@@ -252,11 +264,15 @@ def grid_overlap(wa, wb) -> float:
 
     Works for both single grids (n x n) and pair grids (2 x 2 x 2 x 2),
     and rejects any other shape; the normalization is 1/sqrt(number of
-    cells).
+    cells).  A NaN or infinite grid value, or an overlap too large for a
+    float, raises ``ValueError``.
     """
     a = _check_grid(wa)
     b = _check_grid(wb)
     if a.shape != b.shape:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
     weight = round(a.size**0.5)
-    return float(np.sum(a * b) / weight)
+    overlap = float(np.sum(a * b) / weight)
+    if not math.isfinite(overlap):
+        raise ValueError(f"grid values must be finite; their overlap is {overlap}")
+    return overlap

@@ -19,7 +19,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -38,7 +38,7 @@ def trace_product(a, b) -> complex:
 def hermiticity_defect(a) -> float:
     """Largest entrywise deviation of a matrix from its adjoint."""
     a = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.abs(a - a.conj().T).max())
 
 
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:

@@ -4,19 +4,21 @@ Constructors and phase-space grids for the maximally entangled pair
 states, Werner mixtures, general X-form states, the maximal-concurrence
 family, and the Peres-Horodecki and Gisin families, together with
 marginals and the correlation signature on the 4x4 grid.  Every grid is
-``wigner_grid`` over the pair or the four-level cell-operator stack.
+that of ``wigner_grid`` over the pair or the four-level cell-operator
+stack, computed in coefficient form: a cached real map, built from the
+stack on first use, times the family's real parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 
-from .generators import su4_kernel, wigner_su4
-from .kernel import MappingKernel, wigner_grid
+from .kernel import _coefficient_map
 from .linalg import DEFAULT_TOLERANCE, DensityMatrix, hermitian_matrix, validate_density
-from .twoqubit import FanoCoefficients, _half_sum, fano_matrix, pair_kernel
+from .twoqubit import FanoCoefficients, _fano_grid, _half_sum, _rep_kernel, fano_matrix, wigner_pair
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -51,29 +53,29 @@ def bell_fano(kind: str) -> FanoCoefficients:
 
 
 def bell_wigner_pair(kind: str) -> np.ndarray:
-    """Pair grid of a maximally entangled state; every cell equals +1/2 or -1/2."""
-    return wigner_grid(bell(kind), pair_kernel())
+    """Pair grid of a maximally entangled state; every cell equals +1/2 or -1/2.
+
+    It is ``wigner_pair(bell_fano(kind))``, the coefficient form of the grid
+    of ``bell(kind)`` over ``pair_kernel()``.
+    """
+    return wigner_pair(bell_fano(kind))
 
 
 def bell_wigner_su4(kind: str) -> np.ndarray:
-    """4x4 grid of a maximally entangled state."""
-    return wigner_su4(bell(kind))
+    """4x4 grid of a maximally entangled state: ``wigner_su4(bell(kind))``, in coefficient form."""
+    return _fano_grid(bell_fano(kind), "su4")
 
 
-def _rep_kernel(rep: str) -> MappingKernel:
-    if rep == "pair":
-        return pair_kernel()
-    if rep == "su4":
-        return su4_kernel()
-    raise ValueError(f"unknown representation tag {rep!r}; expected 'pair' or 'su4'")
+def _werner_fano(fraction: float) -> FanoCoefficients:
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"mixing fraction must lie in [0, 1], got {fraction}")
+    q = (1.0 - 4.0 * fraction) / 3.0
+    return FanoCoefficients(a=np.zeros(3), b=np.zeros(3), c=q * np.eye(3))
 
 
 def werner(fraction: float) -> np.ndarray:
     """Mixture of the four maximally entangled states with singlet weight ``fraction``."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"mixing fraction must lie in [0, 1], got {fraction}")
-    q = (1.0 - 4.0 * fraction) / 3.0
-    return fano_matrix(FanoCoefficients(a=np.zeros(3), b=np.zeros(3), c=q * np.eye(3)))
+    return fano_matrix(_werner_fano(fraction))
 
 
 def werner_wigner(fraction: float, rep: str = "pair") -> np.ndarray:
@@ -81,9 +83,11 @@ def werner_wigner(fraction: float, rep: str = "pair") -> np.ndarray:
 
     ``rep="pair"`` returns the 16-point grid, which takes exactly the two
     values 1/6 + fraction/3 and 1/2 - fraction; ``rep="su4"`` returns the
-    4x4 grid of the corresponding four-level state.
+    4x4 grid of the corresponding four-level state.  Either is the grid of
+    ``werner(fraction)``, computed in coefficient form from the Fano vector
+    with a = b = 0 and c = q I, q = (1 - 4 fraction) / 3.
     """
-    return wigner_grid(werner(fraction), _rep_kernel(rep))
+    return _fano_grid(_werner_fano(fraction), rep)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +140,11 @@ class XState:
         return validate_density(self.matrix(), tol)
 
 
+# every entry off the diagonal and antidiagonal: the elements an X-form matrix leaves zero
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+_OFF_X.flags.writeable = False
+
+
 def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     """Read a Hermitian X-form matrix into its six potentially nonzero elements.
 
@@ -145,10 +154,7 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     a = hermitian_matrix(m)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
-    mask = np.ones((4, 4), dtype=bool)
-    mask[np.arange(4), np.arange(4)] = False
-    mask[[0, 3, 1, 2], [3, 0, 2, 1]] = False
-    leak = float(np.max(np.abs(a[mask]))) if np.any(mask) else 0.0
+    leak = float(np.abs(a[_OFF_X]).max())
     if leak > tol:
         raise ValueError(f"matrix is not X-form: off-pattern element of magnitude {leak:.3e}")
     return XState(
@@ -161,9 +167,33 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     )
 
 
+@lru_cache(maxsize=None)
+def _xstate_map(rep: str) -> np.ndarray:
+    # column k: the grid of B_k in x.matrix() = sum_k t_k B_k,
+    # t = [rho11, rho22, rho33, rho44, Re rho14, Im rho14, Re rho23, Im rho23]
+    basis = np.zeros((8, 4, 4), dtype=complex)
+    levels = np.arange(4)
+    basis[levels, levels, levels] = 1.0
+    for k, (i, j) in ((4, (0, 3)), (6, (1, 2))):
+        basis[k, i, j] = basis[k, j, i] = 1.0
+        basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
+    return _coefficient_map(_rep_kernel(rep), basis)
+
+
 def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
-    """Phase-space grid of an X-form state in either representation."""
-    return wigner_grid(x.matrix(), _rep_kernel(rep))
+    """Phase-space grid of an X-form state in either representation.
+
+    Equals ``wigner_grid`` of ``x.matrix()`` over ``su4_kernel()`` or
+    ``pair_kernel()``, but is computed in coefficient form: the grid is
+    linear in the eight real fields t = [rho11, rho22, rho33, rho44,
+    Re rho14, Im rho14, Re rho23, Im rho23], so it is one real (16, 8)
+    matrix, built from the stack on first use and cached, times t.  No
+    matrix is composed, and no Hermiticity guard runs: ``XState`` has
+    already refused non-finite fields.
+    """
+    rho14, rho23 = complex(x.rho14), complex(x.rho23)
+    t = np.array([x.rho11, x.rho22, x.rho33, x.rho44, rho14.real, rho14.imag, rho23.real, rho23.imag])
+    return (_xstate_map(rep) @ t).reshape(_rep_kernel(rep).ops.shape[:-2])
 
 
 def xstate_reduced_wigner(x: XState, which: int) -> np.ndarray:
@@ -225,17 +255,29 @@ def peres_horodecki(x: float) -> XState:
 
 
 def gisin(a: float, b: float, x: float) -> XState:
-    """Three-parameter family mixing a pure coherence block with |00>, |11>."""
+    """Three-parameter family mixing a pure coherence block with |00>, |11>.
+
+    It is ``gisin_from_combinations(a^2 - b^2, a b, x)``.  The result is a
+    state only when (a b)^2 <= 1/4 - (a^2 - b^2)^2 (or x = 0); like every
+    ``XState`` constructor, this one does not enforce that bound, so an
+    unphysical coherence stays representable.  ``dwigner state`` refuses
+    such parameters with ``XState.is_physical``.
+    """
     if not a > b >= 0.0:
         raise ValueError(f"parameters must satisfy a > b >= 0, got a={a}, b={b}")
     return gisin_from_combinations(a * a - b * b, a * b, x)
 
 
 def gisin_from_combinations(square_difference: float, product: float, x: float) -> XState:
-    """Same family parameterized by a^2 - b^2 and a*b directly.
+    """Same family parameterized by s = a^2 - b^2 and p = a*b directly.
 
     Every phase-space quantity of the family depends on the two
-    parameters only through these combinations.
+    parameters only through these combinations.  The populations are
+    (1 - x)/2, (s + 1/2) x, (1/2 - s) x, (1 - x)/2 and the coherence is
+    rho23 = -p x, so for x > 0 the result is a state only when
+    p^2 <= 1/4 - s^2.  The constructor checks the populations but not
+    that bound; ``dwigner state`` refuses such parameters with
+    ``XState.is_physical``.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {x}")

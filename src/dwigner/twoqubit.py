@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generators import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch
-from .kernel import MappingKernel, kernel, wigner_grid
+from .generators import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch, su4_kernel
+from .kernel import MappingKernel, _coefficient_map, kernel, wigner_grid
 from .linalg import DensityMatrix, hermitian_matrix, validate_density
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -120,12 +120,38 @@ def pair_kernel() -> MappingKernel:
     return MappingKernel(dim=4, ops=ops)
 
 
+def _rep_kernel(rep: str) -> MappingKernel:
+    if rep == "pair":
+        return pair_kernel()
+    if rep == "su4":
+        return su4_kernel()
+    raise ValueError(f"unknown representation tag {rep!r}; expected 'pair' or 'su4'")
+
+
+@lru_cache(maxsize=None)
+def _fano_map(rep: str) -> np.ndarray:
+    # column k: the grid of basis matrix B_k in fano_matrix(f) = sum_k t_k B_k, t = [1, a, b, vec c]
+    basis = np.concatenate([np.eye(4, dtype=complex)[None], _pauli_products()]) / 4.0
+    return _coefficient_map(_rep_kernel(rep), basis)
+
+
+def _fano_grid(f: FanoCoefficients, rep: str) -> np.ndarray:
+    t = np.concatenate(([1.0], f.a, f.b, f.c.ravel()))
+    return (_fano_map(rep) @ t).reshape(_rep_kernel(rep).ops.shape[:-2])
+
+
 def wigner_pair(f: FanoCoefficients) -> np.ndarray:
     """Pair phase-space function on the 16 points (mu1, nu1, mu2, nu2).
 
-    The grid of the composed matrix ``fano_matrix(f)`` over ``pair_kernel()``.
+    Equals ``wigner_grid`` of ``fano_matrix(f)`` over ``pair_kernel()``, for
+    physical and unphysical coefficients alike, but is computed in
+    coefficient form: the grid is affine in the Fano vector
+    t = [1, a, b, vec c], so it is one real (16, 16) matrix, built from
+    ``pair_kernel()`` on first use and cached, times t.  No matrix is
+    composed, and no Hermiticity guard runs: ``FanoCoefficients`` has
+    already refused non-finite fields.
     """
-    return wigner_grid(fano_matrix(f), pair_kernel())
+    return _fano_grid(f, "pair")
 
 
 def wigner_pair_from_matrix(rho) -> np.ndarray:
@@ -194,5 +220,5 @@ def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
 
 
 def density_from_su4_coefficients(coeffs) -> np.ndarray:
-    """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4."""
+    """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4; a NaN or infinite coefficient raises."""
     return density_from_bloch(np.asarray(coeffs, dtype=float) / 2.0, 4)

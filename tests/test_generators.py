@@ -233,6 +233,15 @@ def test_wigner_su2_rejects_non_finite_vectors():
         wigner_su2([np.nan] * 3)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_density_from_bloch_rejects_non_finite_components(n, value):
+    components = np.zeros(n * n - 1)
+    components[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        density_from_bloch(components, n)
+
+
 def test_wigner_su2_matrix_element_form(rng):
     for _ in range(100):
         rho = random_density(rng, 2)

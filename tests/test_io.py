@@ -116,6 +116,73 @@ def test_grid_round_trips_exact(rng, fmt):
     assert np.array_equal(parse_grid(emit_grid(pair, fmt), fmt), pair)
 
 
+# awkward floats: a shortest repr that is not the decimal typed, a denormal-scale value, a signed zero
+AWKWARD_VALUES = [0.1, 1e-17, -0.0, 1 / 3, 0.25, -0.1, 2 / 3, 1e-300, 0.0, -1 / 3, 0.7, 1e16, 3.0, -2.5e-8, 0.125, 1 / 7]
+
+PINNED_GRID_TEXT = {
+    ((4, 4), "csv"): (
+        "mu,nu,w\n0,0,0.1\n0,1,1e-17\n0,2,-0.0\n0,3,0.3333333333333333\n"
+        "1,0,0.25\n1,1,-0.1\n1,2,0.6666666666666666\n1,3,1e-300\n"
+        "2,0,0.0\n2,1,-0.3333333333333333\n2,2,0.7\n2,3,1e+16\n"
+        "3,0,3.0\n3,1,-2.5e-08\n3,2,0.125\n3,3,0.14285714285714285\n"
+    ),
+    ((4, 4), "json"): (
+        '{"columns": ["mu", "nu", "w"], "rows": [[0, 0, 0.1], [0, 1, 1e-17], [0, 2, -0.0], '
+        "[0, 3, 0.3333333333333333], [1, 0, 0.25], [1, 1, -0.1], [1, 2, 0.6666666666666666], "
+        "[1, 3, 1e-300], [2, 0, 0.0], [2, 1, -0.3333333333333333], [2, 2, 0.7], [2, 3, 1e+16], "
+        "[3, 0, 3.0], [3, 1, -2.5e-08], [3, 2, 0.125], [3, 3, 0.14285714285714285]]}\n"
+    ),
+    ((4, 4), "gnuplot"): (
+        "0 0 0.1\n0 1 1e-17\n0 2 -0.0\n0 3 0.3333333333333333\n\n"
+        "1 0 0.25\n1 1 -0.1\n1 2 0.6666666666666666\n1 3 1e-300\n\n"
+        "2 0 0.0\n2 1 -0.3333333333333333\n2 2 0.7\n2 3 1e+16\n\n"
+        "3 0 3.0\n3 1 -2.5e-08\n3 2 0.125\n3 3 0.14285714285714285\n"
+    ),
+    ((2, 2, 2, 2), "csv"): (
+        "mu1,nu1,mu2,nu2,w\n0,0,0,0,0.14285714285714285\n0,0,0,1,0.125\n0,0,1,0,-2.5e-08\n"
+        "0,0,1,1,3.0\n0,1,0,0,1e+16\n0,1,0,1,0.7\n0,1,1,0,-0.3333333333333333\n0,1,1,1,0.0\n"
+        "1,0,0,0,1e-300\n1,0,0,1,0.6666666666666666\n1,0,1,0,-0.1\n1,0,1,1,0.25\n"
+        "1,1,0,0,0.3333333333333333\n1,1,0,1,-0.0\n1,1,1,0,1e-17\n1,1,1,1,0.1\n"
+    ),
+    ((2, 2, 2, 2), "json"): (
+        '{"columns": ["mu1", "nu1", "mu2", "nu2", "w"], "rows": [[0, 0, 0, 0, 0.14285714285714285], '
+        "[0, 0, 0, 1, 0.125], [0, 0, 1, 0, -2.5e-08], [0, 0, 1, 1, 3.0], [0, 1, 0, 0, 1e+16], "
+        "[0, 1, 0, 1, 0.7], [0, 1, 1, 0, -0.3333333333333333], [0, 1, 1, 1, 0.0], "
+        "[1, 0, 0, 0, 1e-300], [1, 0, 0, 1, 0.6666666666666666], [1, 0, 1, 0, -0.1], "
+        "[1, 0, 1, 1, 0.25], [1, 1, 0, 0, 0.3333333333333333], [1, 1, 0, 1, -0.0], "
+        "[1, 1, 1, 0, 1e-17], [1, 1, 1, 1, 0.1]]}\n"
+    ),
+    ((2, 2, 2, 2), "gnuplot"): (
+        "0 0 0 0 0.14285714285714285\n0 0 0 1 0.125\n0 0 1 0 -2.5e-08\n0 0 1 1 3.0\n"
+        "0 1 0 0 1e+16\n0 1 0 1 0.7\n0 1 1 0 -0.3333333333333333\n0 1 1 1 0.0\n\n"
+        "1 0 0 0 1e-300\n1 0 0 1 0.6666666666666666\n1 0 1 0 -0.1\n1 0 1 1 0.25\n"
+        "1 1 0 0 0.3333333333333333\n1 1 0 1 -0.0\n1 1 1 0 1e-17\n1 1 1 1 0.1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape, fmt", list(PINNED_GRID_TEXT))
+def test_emit_grid_bytes_are_pinned(shape, fmt):
+    # the pair grid holds the values in reverse order, so both shapes see every value in a new place
+    values = AWKWARD_VALUES if len(shape) == 2 else AWKWARD_VALUES[::-1]
+    assert emit_grid(np.array(values).reshape(shape), fmt) == PINNED_GRID_TEXT[shape, fmt]
+
+
+def test_serialize_matrix_bytes_are_pinned():
+    m = np.array([[complex(0.1, 1e-17), complex(1 / 3, -0.0)], [complex(-0.0, 0.1), complex(1e-17, 0.0)]])
+    expected = '{"dim": 2, "im": [[1e-17, -0.0], [0.1, 0.0]], "re": [[0.1, 0.3333333333333333], [-0.0, 1e-17]]}'
+    assert serialize_matrix(m) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_emit_grid_rejects_non_finite_values(fmt, value):
+    grid = np.full((2, 2, 2, 2), 0.25)
+    grid[1, 0, 1, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        emit_grid(grid, fmt)
+
+
 def test_unknown_format():
     with pytest.raises(ValueError, match="format"):
         emit_grid(np.zeros((2, 2)), "xml")

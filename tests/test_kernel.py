@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,27 @@ def test_overlap_shape_mismatch():
 def test_overlap_rejects_malformed_shapes(shape):
     with pytest.raises(ValueError, match="grid"):
         grid_overlap(np.ones(shape), np.ones(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_overlap_rejects_non_finite_grids(value):
+    with pytest.raises(ValueError, match="finite"):
+        grid_overlap(np.full((2, 2), value), np.ones((2, 2)))
+    pair = np.full((2, 2, 2, 2), 0.25)
+    pair[0, 1, 1, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        grid_overlap(pair, np.full((2, 2, 2, 2), 0.25))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_reconstruct_rejects_non_finite_grids(n, value):
+    grid = np.full((n, n), 1.0 / n)
+    grid[n - 1, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct(grid)
 
 
 @pytest.mark.parametrize("n", range(2, 33))

@@ -1,12 +1,34 @@
-"""Property tests of the phase-point kernel over random states, N = 2..8, and of the pair grid."""
+"""Property tests of the phase-point kernel over random states, N = 2..8, of the pair grid, and of
+the coefficient-form grids of parameterised four-level states."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dwigner import purity, reconstruct, schwinger_pair, wigner_grid, wigner_pair_from_matrix, wigner_su2
+import dwigner
+from dwigner import (
+    FanoCoefficients,
+    XState,
+    fano_matrix,
+    purity,
+    reconstruct,
+    schwinger_pair,
+    wigner_grid,
+    wigner_pair,
+    wigner_pair_from_matrix,
+    wigner_su2,
+    xstate_wigner,
+)
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
+from dwigner.states import _xstate_map
+from dwigner.twoqubit import _fano_grid, _fano_map, _rep_kernel
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -81,3 +103,67 @@ def test_pair_grid_half_sums_are_the_reduced_grids(rho):
     pair = wigner_pair_from_matrix(rho)
     np.testing.assert_allclose(pair.sum(axis=(2, 3)) / 2, wigner_su2(_reduced_bloch(rho, 1)), atol=1e-12)
     np.testing.assert_allclose(pair.sum(axis=(0, 1)) / 2, wigner_su2(_reduced_bloch(rho, 2)), atol=1e-12)
+
+
+REPS = ("pair", "su4")
+
+# every Fano vector in the cube [-1, 1]^15, most of them outside the state space
+fano_coefficients = hnp.arrays(float, (15,), elements=st.floats(-1.0, 1.0)).map(
+    lambda t: FanoCoefficients(a=t[:3], b=t[3:6], c=t[6:].reshape(3, 3))
+)
+
+
+def _xstate(parts):
+    # populations from |p| + 1/100, normalized; coherences in the unit square, mostly unphysical
+    p = np.abs(parts[:4]) + 0.01
+    p /= p.sum()
+    return XState(*p, complex(parts[4], parts[5]), complex(parts[6], parts[7]))
+
+
+xstates = hnp.arrays(float, (8,), elements=st.floats(-1.0, 1.0)).map(_xstate)
+
+
+@PROPERTY_SETTINGS
+@given(fano_coefficients, st.sampled_from(REPS))
+def test_fano_coefficient_form_is_the_grid_of_the_composed_matrix(f, rep):
+    expected = wigner_grid(fano_matrix(f), _rep_kernel(rep))
+    np.testing.assert_allclose(_fano_grid(f, rep), expected, rtol=0, atol=1e-14)
+    if rep == "pair":
+        np.testing.assert_allclose(wigner_pair(f), expected, rtol=0, atol=1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(xstates, st.sampled_from(REPS))
+def test_xstate_coefficient_form_is_the_grid_of_the_composed_matrix(x, rep):
+    expected = wigner_grid(x.matrix(), _rep_kernel(rep))
+    np.testing.assert_allclose(xstate_wigner(x, rep), expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rep", REPS)
+@pytest.mark.parametrize("coefficient_map, width", [(_fano_map, 16), (_xstate_map, 8)])
+def test_coefficient_maps_are_cached_read_only_real_matrices(coefficient_map, width, rep):
+    table = coefficient_map(rep)
+    assert table is coefficient_map(rep)
+    assert table.shape == (16, width) and table.dtype == float
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="representation"):
+        coefficient_map("su2")
+
+
+def test_import_builds_no_coefficient_map():
+    code = (
+        "import dwigner\n"
+        "from dwigner.states import _xstate_map\n"
+        "from dwigner.twoqubit import _fano_map\n"
+        "print(_fano_map.cache_info().currsize, _xstate_map.cache_info().currsize)"
+    )
+    src = str(Path(dwigner.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.stdout.split() == ["0", "0"]

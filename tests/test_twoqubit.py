@@ -310,6 +310,12 @@ def test_su4_coefficients_recompose_and_bloch(rng):
     np.testing.assert_allclose(coeffs, 2 * bloch_vector(rho), atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_density_from_su4_coefficients_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="finite"):
+        density_from_su4_coefficients([value] * 15)
+
+
 def test_pair_index_map():
     assert pair_index(0, 0) == 0
     assert pair_index(0, 1) == 1
