@@ -11,12 +11,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
 from .kernel import _check_grid
 
 GRID_FORMATS = ("csv", "json", "gnuplot")
+
+_NUMBER_TYPES = {int, float}  # a JSON number; bool is its own type
+_INDEX_FIELDS = itemgetter(slice(None, -1))
 
 
 def serialize_matrix(m) -> str:
@@ -28,13 +33,40 @@ def serialize_matrix(m) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _check_matrix_rows(rows, key: str, dim: int) -> None:
+    if not isinstance(rows, list) or len(rows) != dim:
+        count = len(rows) if isinstance(rows, list) else rows
+        raise ValueError(f"field {key!r} must have {dim} rows, got {count!r}")
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(
+                f"row {index} of field {key!r} has {len(row) if isinstance(row, list) else 1} "
+                f"entries, expected {dim}"
+            )
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES:
+        raise ValueError(f"field {key!r} has entries that are not JSON numbers")
+
+
+def _check_matrix_finite(rows, key: str) -> None:
+    try:
+        finite = np.isfinite(np.array(rows, dtype=float)).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"field {key!r} has non-finite entries")
+
+
 def parse_matrix(text) -> np.ndarray:
     """Parse the JSON matrix format back into a complex ndarray.
 
     Reports malformed syntax with line/column positions, ragged rows with
     the offending row index, and dimension mismatches with both sizes;
     rejects a non-integer (or boolean) dimension, and entries that are not
-    finite JSON numbers (strings, booleans, nulls, lists, objects).
+    finite JSON numbers (strings, booleans, nulls, lists, objects).  The
+    checks run field by field, 're' before 'im', so a file with several
+    faults reports the first.  Both fields are read into one float array,
+    and the result takes them as its real and imaginary parts, signed
+    zeros included.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -50,33 +82,42 @@ def parse_matrix(text) -> np.ndarray:
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"field 'dim' must be a positive integer, got {dim!r}")
-    parts = {}
-    for key in ("re", "im"):
-        rows = doc[key]
-        if not isinstance(rows, list) or len(rows) != dim:
-            count = len(rows) if isinstance(rows, list) else rows
-            raise ValueError(f"field {key!r} must have {dim} rows, got {count!r}")
-        for index, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != dim:
-                raise ValueError(
-                    f"row {index} of field {key!r} has {len(row) if isinstance(row, list) else 1} "
-                    f"entries, expected {dim}"
-                )
-        if not {type(v) for row in rows for v in row} <= {int, float}:
-            raise ValueError(f"field {key!r} has entries that are not JSON numbers")
-        try:
-            parts[key] = np.array(rows, dtype=float)
-        except OverflowError:
-            raise ValueError(f"field {key!r} has non-finite entries") from None
-        if not np.all(np.isfinite(parts[key])):
-            raise ValueError(f"field {key!r} has non-finite entries")
-    return parts["re"] + 1j * parts["im"]
+    _check_matrix_rows(doc["re"], "re", dim)
+    try:
+        _check_matrix_rows(doc["im"], "im", dim)
+    except ValueError:
+        _check_matrix_finite(doc["re"], "re")  # a non-finite 're' is the earlier fault
+        raise
+    try:
+        parts = np.array([doc["re"], doc["im"]], dtype=float)
+        finite = np.isfinite(parts).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        _check_matrix_finite(doc["re"], "re")
+        _check_matrix_finite(doc["im"], "im")
+    m = np.empty((dim, dim), dtype=complex)
+    m.real = parts[0]
+    m.imag = parts[1]
+    return m
 
 
-def _columns(w: np.ndarray) -> list[str]:
-    if w.ndim == 2:
-        return ["mu", "nu", "w"]
-    return ["mu1", "nu1", "mu2", "nu2", "w"]
+_COLUMNS = {2: ["mu", "nu", "w"], 4: ["mu1", "nu1", "mu2", "nu2", "w"]}
+
+
+@lru_cache(maxsize=16)
+def _grid_template(shape: tuple[int, ...], fmt: str) -> str:
+    # the whole emitted text with one %r slot per cell, in lexicographic index order; %r of a
+    # float is float.__repr__, the shortest round-trip rendering json.dumps writes as well
+    rows = [[*map(str, index), "%r"] for index in itertools.product(*map(range, shape))]
+    columns = _COLUMNS[len(shape)]
+    if fmt == "csv":
+        return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    if fmt == "json":
+        body = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+        return '{"columns": ' + json.dumps(columns) + ', "rows": [' + body + "]}\n"
+    blocks = itertools.groupby(rows, key=itemgetter(0))
+    return "\n\n".join("\n".join(map(" ".join, block)) for _, block in blocks) + "\n"
 
 
 def emit_grid(values, fmt: str = "csv") -> str:
@@ -85,49 +126,35 @@ def emit_grid(values, fmt: str = "csv") -> str:
     Formats: ``csv`` with an index header, ``json`` with explicit column
     names, or ``gnuplot`` whitespace columns with a blank line between
     blocks of the leading index.  A NaN or infinite value raises
-    ``ValueError``, as ``parse_grid`` would refuse it.
+    ``ValueError``, as ``parse_grid`` would refuse it.  The text is one
+    template per shape and format, built on first use and cached, filled
+    with the shortest round-trip rendering of each value, so equal grids
+    give byte-identical text.
     """
     w = _check_grid(values)
     flat = w.ravel().tolist()
     if not all(map(math.isfinite, flat)):
         raise ValueError("grid values must be finite")
-    # (index tuple, Python float) pairs in lexicographic index order
-    grid_rows = zip(itertools.product(*map(range, w.shape)), flat)
-    columns = _columns(w)
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        for index, value in grid_rows:
-            lines.append(",".join([*map(str, index), repr(value)]))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        rows = [[*index, value] for index, value in grid_rows]
-        return json.dumps({"columns": columns, "rows": rows}) + "\n"
-    if fmt == "gnuplot":
-        lines = []
-        previous_block = None
-        for index, value in grid_rows:
-            if previous_block is not None and index[0] != previous_block:
-                lines.append("")
-            previous_block = index[0]
-            lines.append(" ".join([*map(str, index), repr(value)]))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
+    if fmt not in GRID_FORMATS:
+        raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
+    return _grid_template(w.shape, fmt) % tuple(flat)
 
 
-def _grid_index(value) -> int:
-    # CSV and gnuplot fields are text, JSON fields numbers; a sign, a
-    # fraction, a bool or a non-ASCII digit is never an index, so nothing wraps around
-    if type(value) is str and value.isascii() and value.strip().isdecimal():
-        return int(value)
-    if type(value) is int and value >= 0:
+def _grid_index(value, as_text: bool) -> int:
+    # CSV and gnuplot fields are ASCII digits, JSON fields integers; a sign, a fraction, a bool,
+    # a string in JSON or a non-ASCII digit is never an index, so nothing wraps around
+    if as_text:
+        if value.isascii() and value.strip().isdecimal():
+            return int(value)
+    elif type(value) is int and value >= 0:
         return value
     raise ValueError(f"grid index {value!r} is not a non-negative integer")
 
 
-def _grid_value(value) -> float:
-    # text in CSV and gnuplot, a number in JSON; a bool, a null or a
-    # non-finite value is never a grid value
-    if type(value) in (str, int, float):
+def _grid_value(value, as_text: bool) -> float:
+    # text in CSV and gnuplot, a number in JSON; a bool, a null, a string in
+    # JSON or a non-finite value is never a grid value
+    if as_text or type(value) in _NUMBER_TYPES:
         try:
             number = float(value)
         except (ValueError, OverflowError):
@@ -138,33 +165,63 @@ def _grid_value(value) -> float:
     raise ValueError(f"grid value {value!r} is not a finite number")
 
 
-def _rows_to_grid(rows) -> np.ndarray:
-    rows = list(rows)
+@lru_cache(maxsize=16)
+def _index_fields(shape: tuple[int, ...], as_text: bool) -> list[list]:
+    # the index fields of every row emit_grid writes, in its order: digit strings or JSON integers
+    convert = str if as_text else int
+    return [list(map(convert, index)) for index in itertools.product(*map(range, shape))]
+
+
+def _emitted_values(rows, shape: tuple[int, ...], as_text: bool) -> list[float] | None:
+    # the values of rows whose index fields are exactly those emit_grid writes for the shape,
+    # which meet every index rule; None for any other file, or a value that breaks the value rule
+    indices = list(map(_INDEX_FIELDS, rows))
+    if indices != _index_fields(shape, as_text):
+        return None
+    # True == 1 and 0.0 == 0, so a JSON index must also be an int
+    if not as_text and set(map(type, itertools.chain.from_iterable(indices))) != {int}:
+        return None
+    values = list(map(itemgetter(-1), rows))
+    if not as_text and not set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    try:
+        numbers = list(map(float, values))
+    except (ValueError, OverflowError):
+        return None
+    return numbers if all(map(math.isfinite, numbers)) else None
+
+
+def _rows_to_grid(rows: list, as_text: bool) -> np.ndarray:
     if not rows:
         raise ValueError("grid file contains no rows")
-    if not all(isinstance(row, list) for row in rows):
+    if not set(map(type, rows)) <= {list}:
         raise ValueError("every grid row must be a list of indices and a value")
     width = len(rows[0])
     if width == 3:
         n = round(len(rows) ** 0.5)
         if n * n != len(rows):
             raise ValueError(f"grid file has {len(rows)} rows, not a perfect square")
-        grid = np.empty((n, n))
+        shape = (n, n)
     elif width == 5:
         if len(rows) != 16:
             raise ValueError(f"pair grid file must have 16 rows, got {len(rows)}")
-        grid = np.empty((2, 2, 2, 2))
+        shape = (2, 2, 2, 2)
     else:
         raise ValueError(f"grid rows must have 3 or 5 columns, got {width}")
+    values = _emitted_values(rows, shape, as_text)
+    if values is not None:
+        return np.array(values).reshape(shape)
+    # any other layout, or a malformed file: walk the rows, which names the first fault
+    grid = np.empty(shape)
     seen = set()
     for row in rows:
         if len(row) != width:
             raise ValueError("grid file has rows of inconsistent width")
-        index = tuple(map(_grid_index, row[:-1]))
+        index = tuple(_grid_index(field, as_text) for field in row[:-1])
         if index in seen:
             raise ValueError(f"duplicate grid index {index}")
         seen.add(index)
-        value = _grid_value(row[-1])
+        value = _grid_value(row[-1], as_text)
         try:
             grid[index] = value
         except IndexError:
@@ -180,15 +237,19 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
     Every index must be a non-negative integer inside the grid shape:
     ASCII digits in CSV and gnuplot, a JSON integer in JSON.  Every value
     must be a finite number: text that ``float`` reads in CSV and gnuplot,
-    a JSON number that is not a bool in JSON.
+    a JSON number that is not a bool in JSON (a JSON string is refused).
+    A file whose index fields are exactly those ``emit_grid`` writes needs
+    only the value rule; a file in another layout (rows in another order,
+    padded fields) is read row by row under every rule, and so is a
+    malformed one, whose first fault is named in the ``ValueError``.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     if fmt == "csv":
-        lines = [line for line in text.splitlines() if line.strip()]
+        lines = list(filter(str.strip, text.splitlines()))
         if not lines:
             raise ValueError("grid file is empty")
-        return _rows_to_grid(line.split(",") for line in lines[1:])
+        return _rows_to_grid([line.split(",") for line in lines[1:]], as_text=True)
     if fmt == "json":
         try:
             doc = json.loads(text)
@@ -196,8 +257,7 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
             raise ValueError(f"malformed grid file: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
             raise ValueError("grid file must be a JSON object with a 'rows' list")
-        return _rows_to_grid(doc["rows"])
+        return _rows_to_grid(doc["rows"], as_text=False)
     if fmt == "gnuplot":
-        lines = [line for line in text.splitlines() if line.strip()]
-        return _rows_to_grid(line.split() for line in lines)
+        return _rows_to_grid(list(map(str.split, filter(str.strip, text.splitlines()))), as_text=True)
     raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")

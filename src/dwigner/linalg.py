@@ -117,14 +117,15 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     if tol is None:
         tol = DEFAULT_TOLERANCE
     a = as_matrix(m)
+    adjoint = a.conj().T
     violations = []
-    defect = hermiticity_defect(a)
+    defect = float(np.abs(a - adjoint).max())
     if defect > tol:
         violations.append(("hermiticity", defect))
     trace_error = abs(complex(np.trace(a)) - 1.0)
     if trace_error > tol:
         violations.append(("unit trace", trace_error))
-    hermitian_part = (a + a.conj().T) / 2.0
+    hermitian_part = (a + adjoint) / 2.0
     min_eigenvalue = float(np.linalg.eigvalsh(hermitian_part)[0])
     if min_eigenvalue < -tol:
         violations.append(("positive semidefiniteness", -min_eigenvalue))
@@ -135,9 +136,13 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
 
 
 def purity(rho) -> float:
-    """Tr[rho^2]; 1 for pure states, 1/N for the maximally mixed state."""
+    """Tr[rho^2]; 1 for pure states, 1/N for the maximally mixed state.
+
+    Computed as ``vdot(rho, rho)``, Tr[rho† rho], which is Tr[rho^2] for the Hermitian input
+    the guard admits.
+    """
     a = hermitian_matrix(rho)
-    return float(np.real(np.trace(a @ a)))
+    return float(np.vdot(a, a).real)
 
 
 @dataclasses.dataclass(frozen=True)

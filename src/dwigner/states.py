@@ -43,8 +43,15 @@ def bell(kind: str) -> np.ndarray:
 
 
 def bell_fano(kind: str) -> FanoCoefficients:
-    """Pauli-product coefficients of a maximally entangled state."""
-    family, sign = _bell_sign(kind)
+    """Pauli-product coefficients of a maximally entangled state.
+
+    One frozen object per state, built on first use and cached; its arrays are read-only.
+    """
+    return _bell_fano(*_bell_sign(kind))
+
+
+@lru_cache(maxsize=None)
+def _bell_fano(family: str, sign: float) -> FanoCoefficients:
     if family == "phi":
         diag = (sign, -sign, 1.0)
     else:

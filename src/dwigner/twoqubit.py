@@ -40,9 +40,12 @@ class FanoCoefficients:
             raise ValueError(
                 f"expected shapes (3,), (3,), (3, 3); got {a.shape}, {b.shape}, {c.shape}"
             )
+        # one pass over all 15 entries; the field is named only when it fails
+        if not all(map(math.isfinite, [*a.tolist(), *b.tolist(), *c.ravel().tolist()])):
+            for arr, name in ((a, "a"), (b, "b"), (c, "c")):
+                if not all(map(math.isfinite, arr.ravel().tolist())):
+                    raise ValueError(f"Fano coefficients {name!r} must be finite, got {arr.tolist()}")
         for arr, name in ((a, "a"), (b, "b"), (c, "c")):
-            if not all(map(math.isfinite, arr.ravel().tolist())):
-                raise ValueError(f"Fano coefficients {name!r} must be finite, got {arr.tolist()}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

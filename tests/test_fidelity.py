@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwigner import grid_overlap, state_overlap, super_fidelity, werner, wigner_grid
+from dwigner import grid_overlap, purity, state_overlap, super_fidelity, validate_density, werner, wigner_grid
 from helpers import random_density, random_pure
 
 
@@ -61,3 +61,44 @@ def test_pure_state_overlap_is_squared_amplitude(rng):
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         state_overlap(np.eye(2) / 2, np.eye(4) / 4)
+
+
+def _trace_form(a, b):
+    # the Tr[A B] form the vdot products replaced
+    a, b = np.asarray(a), np.asarray(b)
+    gap_a = max(0.0, 1.0 - float(np.real(np.trace(a @ a))))
+    gap_b = max(0.0, 1.0 - float(np.real(np.trace(b @ b))))
+    overlap = float(np.real(np.trace(a @ b)))
+    return overlap, float(np.real(np.trace(a @ a))), overlap + np.sqrt(gap_a) * np.sqrt(gap_b)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vdot_forms_agree_with_the_trace_form(rng, n):
+    for _ in range(10):
+        rho = validate_density(random_density(rng, n))
+        sigma = validate_density(random_density(rng, n))
+        overlap, purity_a, fidelity = _trace_form(rho, sigma)
+        assert abs(state_overlap(rho, sigma) - overlap) <= 1e-15
+        assert abs(purity(rho) - purity_a) <= 1e-15
+        assert abs(super_fidelity(rho, sigma) - fidelity) <= 1e-15
+        # a raw Hermitian array gives the same numbers
+        assert abs(super_fidelity(rho.matrix.copy(), sigma.matrix.copy()) - fidelity) <= 1e-15
+
+
+def test_fidelity_refuses_a_raw_non_hermitian_array():
+    skewed = np.eye(2, dtype=complex) / 2
+    skewed[0, 1] += 0.3j
+    for call in (lambda: super_fidelity(skewed, np.eye(2) / 2), lambda: super_fidelity(np.eye(2) / 2, skewed)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            call()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        state_overlap(skewed, skewed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        purity(skewed)
+
+
+def test_dimension_mismatch_message_is_unchanged():
+    for measure in (state_overlap, super_fidelity):
+        with pytest.raises(ValueError) as info:
+            measure(np.eye(2) / 2, np.eye(4) / 4)
+        assert str(info.value) == "dimension mismatch: 2 vs 4"

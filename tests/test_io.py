@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dwigner
 from dwigner import (
     bell_wigner_su4,
     emit_grid,
@@ -396,3 +401,178 @@ def test_fuzz_parse_text_grid_raises_finite_or_value_error(lines, fmt_sep):
 def test_fuzz_free_text_raises_finite_or_value_error(text, fmt):
     parse = parse_matrix if fmt == "matrix" else (lambda t: parse_grid(t, fmt))
     _finite_or_value_error(parse, text)
+
+
+# the exact message of every malformed class, as the row-by-row parsers wrote them before the fast paths
+MATRIX_MESSAGES = [
+    ('{"dim": 2,\n "re": [[0, 1],', "malformed matrix file: Expecting value: line 2 column 16 (char 26)"),
+    ("[1, 2]", "matrix file must be a JSON object, got list"),
+    ('{"dim": 1, "re": [[1.0]]}', "matrix file is missing required field 'im'"),
+    ('{"dim": true, "re": [[1.0]], "im": [[0.0]]}', "field 'dim' must be a positive integer, got True"),
+    ('{"dim": 0, "re": [], "im": []}', "field 'dim' must be a positive integer, got 0"),
+    ('{"dim": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', "field 'dim' must be a positive integer, got 2.0"),
+    ('{"dim": 2, "re": [[1, 0]], "im": [[0, 0], [0, 0]]}', "field 're' must have 2 rows, got 1"),
+    ('{"dim": 2, "re": "x", "im": [[0, 0], [0, 0]]}', "field 're' must have 2 rows, got 'x'"),
+    ('{"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}', "row 1 of field 're' has 1 entries, expected 2"),
+    ('{"dim": 2, "re": [[1, 0], [0, 1]], "im": [5, [0, 0]]}', "row 0 of field 'im' has 1 entries, expected 2"),
+    ('{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, "0"], [0, 0]]}', "field 'im' has entries that are not JSON numbers"),
+    ('{"dim": 2, "re": [[1, 0], [0, NaN]], "im": [[0, 0], [0, 0]]}', "field 're' has non-finite entries"),
+    ('{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [-Infinity, 0]]}', "field 'im' has non-finite entries"),
+    ('{"dim": 1, "re": [[1]], "im": [[1%s]]}' % ("0" * 400), "field 'im' has non-finite entries"),
+    # with faults in both fields, the one in 're' is named
+    ('{"dim": 2, "re": [[1, 0], [0, NaN]], "im": [[0, 0], [0]]}', "field 're' has non-finite entries"),
+    ('{"dim": 2, "re": [[1, 0], [0, NaN]], "im": [[0, null], [0, 0]]}', "field 're' has non-finite entries"),
+]
+
+GRID_MESSAGES = [
+    ("mu,nu,w\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n", "xml", "unknown grid format 'xml'; expected one of ('csv', 'json', 'gnuplot')"),
+    ("\n \n", "csv", "grid file is empty"),
+    ("mu,nu,w\n", "csv", "grid file contains no rows"),
+    ("", "gnuplot", "grid file contains no rows"),
+    ('{"rows": [[0, 0, 1],', "json", "malformed grid file: Expecting value: line 1 column 21 (char 20)"),
+    ('{"cols": []}', "json", "grid file must be a JSON object with a 'rows' list"),
+    ('{"rows": [[0, 0, 1], 5, [1, 0, 1], [1, 1, 1]]}', "json", "every grid row must be a list of indices and a value"),
+    ("mu,nu,w\n0,0,1\n0,1,1\n1,0,1\n", "csv", "grid file has 3 rows, not a perfect square"),
+    ("0 0 0 0 1\n" * 15, "gnuplot", "pair grid file must have 16 rows, got 15"),
+    ("mu,nu,w\n0,0,0,1\n", "csv", "grid rows must have 3 or 5 columns, got 4"),
+    ("mu,nu,w\n0,0,1\n0,1,1\n1,0,1\n1,1\n", "csv", "grid file has rows of inconsistent width"),
+    ("mu,nu,w\n0,0,1\n0,1,1\n1,0,1\n-1,1,1\n", "csv", "grid index '-1' is not a non-negative integer"),
+    ('{"rows": [[0, 0, 1], [0, 1.5, 1], [1, 0, 1], [1, 1, 1]]}', "json", "grid index 1.5 is not a non-negative integer"),
+    ("0 0 1\n0 1 1\n\n1 0 1\n0 0 1\n", "gnuplot", "duplicate grid index (0, 0)"),
+    ("mu,nu,w\n0,0,1\n0,1,nan\n1,0,1\n1,1,1\n", "csv", "grid value 'nan' is not a finite number"),
+    ('{"rows": [[0, 0, 1], [0, 1, null], [1, 0, 1], [1, 1, 1]]}', "json", "grid value None is not a finite number"),
+    ("0 0 1\n0 1 1\n\n1 0 1\n2 1 1\n", "gnuplot", "grid index (2, 1) out of range for shape (2, 2)"),
+]
+
+
+@pytest.mark.parametrize("text, message", MATRIX_MESSAGES)
+def test_parse_matrix_messages_are_pinned(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, fmt, message", GRID_MESSAGES)
+def test_parse_grid_messages_are_pinned(text, fmt, message):
+    with pytest.raises(ValueError) as info:
+        parse_grid(text, fmt)
+    assert str(info.value) == message
+
+
+def test_parse_grid_refuses_a_json_string_index():
+    with pytest.raises(ValueError) as info:
+        parse_grid('{"rows": [["0", 0, 0.25], [0, 1, 0.25], [1, 0, 0.25], [1, 1, 0.25]]}', "json")
+    assert str(info.value) == "grid index '0' is not a non-negative integer"
+
+
+def test_parse_grid_refuses_a_json_string_value():
+    with pytest.raises(ValueError) as info:
+        parse_grid('{"rows": [[0, 0, "0.25"], [0, 1, 0.25], [1, 0, 0.25], [1, 1, 0.25]]}', "json")
+    assert str(info.value) == "grid value '0.25' is not a finite number"
+
+
+def test_parse_matrix_keeps_signed_zeros():
+    m = np.array([[complex(-0.0, 0.5), complex(0.25, -0.0)], [complex(0.25, 0.0), complex(-0.0, -0.0)]])
+    again = parse_matrix(serialize_matrix(m))
+    assert np.signbit(again.real).tolist() == np.signbit(m.real).tolist()
+    assert np.signbit(again.imag).tolist() == np.signbit(m.imag).tolist()
+
+
+def _reference_emit(w, fmt):
+    # the per-row emitter the template replaced: one formatted line per cell
+    names = ["mu", "nu", "w"] if w.ndim == 2 else ["mu1", "nu1", "mu2", "nu2", "w"]
+    rows = [(index, float(w[index])) for index in np.ndindex(*w.shape)]
+    if fmt == "csv":
+        return "\n".join([",".join(names)] + [",".join([*map(str, i), repr(v)]) for i, v in rows]) + "\n"
+    if fmt == "json":
+        return json.dumps({"columns": names, "rows": [[*i, v] for i, v in rows]}) + "\n"
+    lines, block = [], None
+    for i, v in rows:
+        if block is not None and i[0] != block:
+            lines.append("")
+        block = i[0]
+        lines.append(" ".join([*map(str, i), repr(v)]))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1 / 3, -1 / 3, 1e16, 1e22, 0.1, 1.7976931348623157e308]
+grid_shapes = st.sampled_from([(n, n) for n in range(2, 9)] + [(2, 2, 2, 2)])
+
+
+@st.composite
+def emit_cases(draw):
+    shape = draw(grid_shapes)
+    size = int(np.prod(shape))
+    cell = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cell, min_size=size, max_size=size))
+    return np.array(values).reshape(shape), draw(st.sampled_from(["csv", "json", "gnuplot"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(emit_cases())
+def test_emit_grid_matches_the_per_row_reference(case):
+    w, fmt = case
+    text = emit_grid(w, fmt)
+    assert text == _reference_emit(w, fmt)
+    back = parse_grid(text, fmt)
+    assert back.tobytes() == w.tobytes()  # signed zeros included
+
+
+def test_emit_grid_edge_values_in_every_shape_and_format():
+    for shape in [(n, n) for n in range(2, 9)] + [(2, 2, 2, 2)]:
+        size = int(np.prod(shape))
+        w = np.resize(np.array(EDGE_FLOATS), size).reshape(shape)
+        for fmt in ("csv", "json", "gnuplot"):
+            assert emit_grid(w, fmt) == _reference_emit(w, fmt)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2, 2, 2)])
+def test_parse_grid_reads_other_layouts_to_the_same_grid(shape):
+    w = np.arange(16.0).reshape(shape) / 7 - 1
+    csv = emit_grid(w, "csv")
+    header, *rows = csv.splitlines()
+    permuted = "\n".join([header, *rows[::-1]]) + "\n"
+    padded = "\n".join([header] + [",".join(f" {f} " for f in row.split(",")) for row in rows]) + "\n"
+    crlf = csv.replace("\n", "\r\n")
+    gnuplot_permuted = "\n".join(emit_grid(w, "gnuplot").splitlines()[::-1])
+    doc = json.loads(emit_grid(w, "json"))
+    doc["rows"] = doc["rows"][3:] + doc["rows"][:3]
+    plus = csv.replace(",0.", ",+0.")
+    assert plus != csv
+    for text, fmt in [
+        (permuted, "csv"),
+        (padded, "csv"),
+        (crlf, "csv"),
+        (plus, "csv"),
+        (gnuplot_permuted, "gnuplot"),
+        (json.dumps(doc), "json"),
+    ]:
+        assert parse_grid(text, fmt).tobytes() == w.tobytes()
+
+
+def test_cli_import_builds_no_io_cache():
+    code = (
+        "import dwigner.cli\n"
+        "from dwigner.io import _grid_template, _index_fields\n"
+        "print(_grid_template.cache_info().currsize, _index_fields.cache_info().currsize)"
+    )
+    src = str(Path(dwigner.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("row, index", [(3, "true"), (3, "1.0"), (3, '"1"'), (2, "false"), (2, "0.0")])
+def test_parse_grid_refuses_a_json_index_that_only_equals_an_integer(row, index):
+    # in the layout emit_grid writes, True == 1 and 0.0 == 0, so the index type is checked too
+    rows = ["[0, 0, 0.25]", "[0, 1, 0.25]", "[1, 0, 0.25]", "[1, 1, 0.25]"]
+    assert np.array_equal(parse_grid('{"rows": [%s]}' % ", ".join(rows), "json"), np.full((2, 2), 0.25))
+    rows[row] = "[1, %s, 0.25]" % index
+    with pytest.raises(ValueError, match="non-negative integer"):
+        parse_grid('{"rows": [%s]}' % ", ".join(rows), "json")

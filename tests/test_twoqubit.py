@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -329,3 +331,27 @@ def test_fano_compose_accepts_physical_states(rng):
     rho = fano_compose(fano_extract(random_density(rng, 4)))
     assert rho.dim == 4
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["phi+", "phi-", "psi+", "PSI-"])
+def test_bell_fano_is_cached_and_cannot_be_mutated(kind):
+    f = bell_fano(kind)
+    assert f is bell_fano(kind.swapcase())
+    for name in ("a", "b", "c"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, np.zeros(3))
+    np.testing.assert_allclose(fano_matrix(f), bell(kind), atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+def test_fano_coefficients_name_the_non_finite_field(field, value):
+    fields = {"a": np.zeros(3), "b": np.full(3, 1e308), "c": np.full((3, 3), -1e308)}
+    FanoCoefficients(**fields)  # large finite entries are accepted
+    fields[field] = fields[field].copy()
+    fields[field].flat[-1] = value
+    with pytest.raises(ValueError) as info:
+        FanoCoefficients(**fields)
+    assert str(info.value) == f"Fano coefficients {field!r} must be finite, got {fields[field].tolist()}"
