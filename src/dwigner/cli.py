@@ -8,38 +8,31 @@ and ``validate`` (density-matrix diagnostics).
 
 Exit codes: 0 on success, 1 on validation/data failure, 2 on usage
 errors.  The environment variable DWIGNER_TOLERANCE overrides the
-default validation tolerance of 1e-10.
+default validation tolerance of 1e-10; it must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .algorithm import run_parity_algorithm
-from .fidelity import super_fidelity
-from .generators import bloch_vector, wigner_su2, wigner_su4
-from .io import GRID_FORMATS, emit_grid, parse_matrix, serialize_matrix
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    DensityMatrixError,
-    hermitian_matrix,
-    hermiticity_defect,
-    positivity_inequalities,
-    validate_density,
-)
-from .states import bell, gisin, gisin_from_combinations, munro, peres_horodecki, werner
-from .states import xstate_delta, xstate_from_matrix, xstate_marginals
-from .twoqubit import delta_pair, fano_extract, wigner_pair
+# numpy and the library modules are imported where a command first needs them, after every
+# check that needs neither, so a refused argument exits before numpy loads
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+
+GRID_FORMATS = ("csv", "json", "gnuplot")  # io.GRID_FORMATS, without importing numpy to offer them
+STATE_KINDS = ("bell", "werner", "munro", "ph", "gisin", "level")
 
 
 class UsageError(ValueError):
@@ -64,11 +57,16 @@ class _Parser(argparse.ArgumentParser):
 def _tolerance() -> float:
     raw = os.environ.get("DWIGNER_TOLERANCE")
     if raw is None:
+        from .linalg import DEFAULT_TOLERANCE
+
         return DEFAULT_TOLERANCE
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise UsageError(f"DWIGNER_TOLERANCE must be a number, got {raw!r}") from exc
+    if not math.isfinite(tol) or tol < 0:
+        raise UsageError(f"DWIGNER_TOLERANCE must be finite and >= 0, got {raw!r}")
+    return tol
 
 
 def _report_error(message: str, json_errors: bool, kind: str) -> None:
@@ -79,6 +77,8 @@ def _report_error(message: str, json_errors: bool, kind: str) -> None:
 
 
 def _load_matrix(path: str) -> np.ndarray:
+    from .io import parse_matrix
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -87,6 +87,10 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _load_density(path: str, tol: float):
+    import numpy as np
+
+    from .linalg import DensityMatrixError, validate_density
+
     matrix = _load_matrix(path)
     try:
         return validate_density(matrix, tol)
@@ -101,6 +105,12 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_grid(grid, args) -> None:
+    from .io import emit_grid
+
+    _write_output(emit_grid(grid, args.format), args.output)
 
 
 def _parse_params(spec: str, name: str) -> dict[str, str]:
@@ -131,7 +141,22 @@ def named_state(name: str) -> np.ndarray:
     """
     kind, _, rest = name.partition(":")
     kind = kind.lower()
+    if kind not in STATE_KINDS:
+        raise UsageError(
+            f"unknown state name {name!r}; expected bell:, werner:, munro:, ph:, gisin: or level:"
+        )
     try:
+        if kind == "level":
+            level = int(rest)
+            if not 0 <= level <= 3:
+                raise UsageError(f"level must be 0..3, got {rest}")
+            import numpy as np
+
+            matrix = np.zeros((4, 4), dtype=complex)
+            matrix[level, level] = 1.0
+            return matrix
+        from .states import bell, gisin, gisin_from_combinations, munro, peres_horodecki, werner
+
         if kind == "bell":
             return bell(rest)
         if kind == "werner":
@@ -140,80 +165,83 @@ def named_state(name: str) -> np.ndarray:
             return munro(_float_param(_parse_params(rest, name), "g", name)).matrix()
         if kind == "ph":
             return peres_horodecki(_float_param(_parse_params(rest, name), "x", name)).matrix()
-        if kind == "gisin":
-            params = _parse_params(rest, name)
-            if "a" in params or "b" in params:
-                family, keys = gisin, ("a", "b", "x")
-            else:
-                family, keys = gisin_from_combinations, ("s", "p", "x")
-            state = family(*(_float_param(params, key, name) for key in keys))
-            # the library keeps such X states representable; the CLI emits only states
-            if not state.is_physical():
-                raise UsageError(
-                    f"state {name!r} is not positive semidefinite: |rho23|^2 = {abs(state.rho23) ** 2:.6g} "
-                    f"exceeds rho22 rho33 = {state.rho22 * state.rho33:.6g}"
-                )
-            return state.matrix()
-        if kind == "level":
-            level = int(rest)
-            if not 0 <= level <= 3:
-                raise UsageError(f"level must be 0..3, got {rest}")
-            matrix = np.zeros((4, 4), dtype=complex)
-            matrix[level, level] = 1.0
-            return matrix
+        params = _parse_params(rest, name)
+        if "a" in params or "b" in params:
+            family, keys = gisin, ("a", "b", "x")
+        else:
+            family, keys = gisin_from_combinations, ("s", "p", "x")
+        state = family(*(_float_param(params, key, name) for key in keys))
+        # the library keeps such X states representable; the CLI emits only states
+        if not state.is_physical():
+            raise UsageError(
+                f"state {name!r} is not positive semidefinite: |rho23|^2 = {abs(state.rho23) ** 2:.6g} "
+                f"exceeds rho22 rho33 = {state.rho22 * state.rho33:.6g}"
+            )
+        return state.matrix()
     except UsageError:
         raise
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid state name {name!r}: {exc}") from exc
-    raise UsageError(
-        f"unknown state name {name!r}; expected bell:, werner:, munro:, ph:, gisin: or level:"
-    )
 
 
 def _grid_for_rep(rho, rep: str) -> np.ndarray:
+    from .linalg import hermitian_matrix
+
     matrix = hermitian_matrix(rho)
     if rep == "su2":
         if matrix.shape[0] != 2:
             raise UsageError(f"representation su2 needs a 2x2 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
+        from .generators import bloch_vector, wigner_su2
+
         return wigner_su2(bloch_vector(rho))
     if matrix.shape[0] != 4:
         raise UsageError(f"representation {rep} needs a 4x4 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
     if rep == "su4":
+        from .generators import wigner_su4
+
         return wigner_su4(rho)
     if rep == "pair":
+        from .twoqubit import fano_extract, wigner_pair
+
         return wigner_pair(fano_extract(rho))
     raise UsageError(f"unknown representation {rep!r}")
 
 
 def _cmd_wigner(args) -> int:
     rho = _load_density(args.input, _tolerance())
-    grid = _grid_for_rep(rho, args.rep)
-    _write_output(emit_grid(grid, args.format), args.output)
+    _write_grid(_grid_for_rep(rho, args.rep), args)
     return EXIT_OK
 
 
 def _cmd_state(args) -> int:
     matrix = named_state(args.name)
     if args.emit == "matrix":
+        from .io import serialize_matrix
+
         _write_output(serialize_matrix(matrix) + "\n", args.output)
         return EXIT_OK
-    grid = _grid_for_rep(matrix, args.rep)
-    _write_output(emit_grid(grid, args.format), args.output)
+    _write_grid(_grid_for_rep(matrix, args.rep), args)
     return EXIT_OK
 
 
 def _cmd_delta(args) -> int:
     rho = _load_density(args.input, _tolerance())
     if args.rep == "pair":
+        from .twoqubit import delta_pair, fano_extract
+
         grid = delta_pair(fano_extract(rho))
     else:
+        from .states import xstate_delta, xstate_from_matrix
+
         grid = xstate_delta(xstate_from_matrix(rho))
-    _write_output(emit_grid(grid, args.format), args.output)
+    _write_grid(grid, args)
     return EXIT_OK
 
 
 def _cmd_marginals(args) -> int:
     rho = _load_density(args.input, _tolerance())
+    from .states import xstate_from_matrix, xstate_marginals
+
     marginals = xstate_marginals(xstate_from_matrix(rho))
     doc = {
         "mu": [float(v) for v in marginals.mu_marginal],
@@ -224,8 +252,12 @@ def _cmd_marginals(args) -> int:
 
 
 def _cmd_algorithm(args) -> int:
+    from .algorithm import run_parity_algorithm
+
     trace = run_parity_algorithm(pulse=args.pulse, noise=args.noise)
     if args.snapshots is not None:
+        from .io import emit_grid
+
         directory = Path(args.snapshots)
         directory.mkdir(parents=True, exist_ok=True)
         suffix = {"csv": "csv", "json": "json", "gnuplot": "dat"}[args.format]
@@ -243,11 +275,17 @@ def _cmd_fidelity(args) -> int:
     tol = _tolerance()
     rho = _load_density(args.a, tol)
     sigma = _load_density(args.b, tol)
+    from .fidelity import super_fidelity
+
     print(repr(super_fidelity(rho, sigma)))
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
+    import numpy as np
+
+    from .linalg import DensityMatrixError, hermiticity_defect, positivity_inequalities, validate_density
+
     matrix = _load_matrix(args.input)
     hermitian_part = (matrix + matrix.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(hermitian_part)

@@ -241,7 +241,9 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
     A file whose index fields are exactly those ``emit_grid`` writes needs
     only the value rule; a file in another layout (rows in another order,
     padded fields) is read row by row under every rule, and so is a
-    malformed one, whose first fault is named in the ``ValueError``.
+    malformed one, whose first fault is named in the ``ValueError``.  The
+    first line of a CSV file must be the header ``emit_grid`` writes for
+    the width of its rows (``mu,nu,w`` or ``mu1,nu1,mu2,nu2,w``).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -249,7 +251,14 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
         lines = list(filter(str.strip, text.splitlines()))
         if not lines:
             raise ValueError("grid file is empty")
-        return _rows_to_grid([line.split(",") for line in lines[1:]], as_text=True)
+        header, *rows = (line.split(",") for line in lines)
+        columns = _COLUMNS.get(len(rows[0]) - 1) if rows else None
+        if columns is not None and list(map(str.strip, header)) != columns:
+            raise ValueError(
+                f"grid file header must be {','.join(columns)!r} over {len(columns)}-column rows, "
+                f"got {lines[0]!r}"
+            )
+        return _rows_to_grid(rows, as_text=True)
     if fmt == "json":
         try:
             doc = json.loads(text)

@@ -8,6 +8,7 @@ four-level systems.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -112,10 +113,14 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
 
     Raises DensityMatrixError listing every violated invariant together
     with its measured magnitude.  Stores the Hermitian part (a + a†)/2,
-    which is ``a`` bit for bit when ``a`` is exactly Hermitian.
+    which is ``a`` bit for bit when ``a`` is exactly Hermitian.  A
+    tolerance that is negative or not finite raises ``ValueError``: NaN
+    and infinity would pass every check.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
+    elif not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     a = as_matrix(m)
     adjoint = a.conj().T
     violations = []

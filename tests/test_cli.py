@@ -290,3 +290,28 @@ def test_argument_errors_without_json_errors_are_argparse_text(capsys):
         "                      [--output OUTPUT] [--format {csv,json,gnuplot}]\n"
         "dwigner wigner: error: the following arguments are required: --input\n"
     )
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-1e-5"])
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["wigner", "--rep", "su2"], ["wigner", "--rep", "su4"], ["delta"], ["marginals"]],
+)
+def test_tolerance_environment_must_be_finite_and_non_negative(raw, command, matrix_file, capsys, monkeypatch):
+    # a NaN or infinite tolerance used to pass diag(3, 2) as a valid density matrix
+    dim = 2 if command[-1] == "su2" else 4
+    path = matrix_file("bad.json", np.diag([3.0, -2.0] + [0.0] * (dim - 2)))
+    monkeypatch.setenv("DWIGNER_TOLERANCE", raw)
+    assert main([command[0], "--input", path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "valid density matrix" not in captured.out
+    assert captured.err == f"error: DWIGNER_TOLERANCE must be finite and >= 0, got {raw!r}\n"
+
+
+def test_fidelity_refuses_a_non_finite_tolerance(matrix_file, capsys, monkeypatch):
+    path = matrix_file("rho.json", np.eye(4) / 4)
+    monkeypatch.setenv("DWIGNER_TOLERANCE", "nan")
+    assert main(["--json-errors", "fidelity", "--a", path, "--b", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "usage"

@@ -576,3 +576,28 @@ def test_parse_grid_refuses_a_json_index_that_only_equals_an_integer(row, index)
     rows[row] = "[1, %s, 0.25]" % index
     with pytest.raises(ValueError, match="non-negative integer"):
         parse_grid('{"rows": [%s]}' % ", ".join(rows), "json")
+
+
+def test_parse_grid_refuses_a_csv_file_without_its_header():
+    w = np.arange(16.0).reshape(4, 4) / 16
+    headerless = "".join(emit_grid(w, "csv").splitlines(keepends=True)[1:])
+    with pytest.raises(ValueError) as info:
+        parse_grid(headerless)
+    assert str(info.value) == "grid file header must be 'mu,nu,w' over 3-column rows, got '0,0,0.0'"
+
+
+@pytest.mark.parametrize(
+    "header, expected",
+    [("0,0,5", "mu,nu,w"), ("mu1,nu1,mu2,nu2,w", "mu,nu,w"), ("mu,nu", "mu,nu,w"), ("mu,nu,w", "mu1,nu1,mu2,nu2,w")],
+)
+def test_parse_grid_refuses_a_csv_header_that_is_not_the_emitted_one(header, expected):
+    shape = (4, 4) if expected == "mu,nu,w" else (2, 2, 2, 2)
+    body = emit_grid(np.full(shape, 1 / 16), "csv").split("\n", 1)[1]
+    with pytest.raises(ValueError, match=f"header must be '{expected}'"):
+        parse_grid(f"{header}\n{body}")
+
+
+def test_parse_grid_reads_a_csv_header_with_padded_fields():
+    w = np.full((2, 2, 2, 2), 1 / 16)
+    text = emit_grid(w, "csv").replace("mu1,nu1,mu2,nu2,w", " mu1 , nu1,mu2, nu2 ,w ", 1)
+    assert parse_grid(text).tobytes() == w.tobytes()

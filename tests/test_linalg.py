@@ -261,3 +261,17 @@ def test_density_matrix_refuses_a_matrix_outside_its_contract(matrix):
 def test_density_matrix_accepts_an_exactly_hermitian_matrix(rng):
     m = random_hermitian_unit_trace(rng, 4)
     assert DensityMatrix(m).matrix is m
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_validate_density_refuses_a_tolerance_that_is_negative_or_not_finite(tol):
+    # NaN and infinity would pass every check, so diag(3, 2) would come back as a state
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0") as info:
+        validate_density(np.diag([3.0, 2.0]), tol)
+    assert not isinstance(info.value, DensityMatrixError)
+    with pytest.raises(ValueError, match="tolerance"):
+        validate_density(np.eye(2) / 2, tol)
+
+
+def test_validate_density_accepts_a_zero_tolerance():
+    assert validate_density(np.diag([0.5, 0.5]), 0.0).matrix.tolist() == [[0.5, 0.0], [0.0, 0.5]]
