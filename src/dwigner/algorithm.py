@@ -13,8 +13,7 @@ import dataclasses
 import numpy as np
 
 from .generators import wigner_su4
-
-NORMALIZATION_TOLERANCE = 1e-10
+from .linalg import DEFAULT_TOLERANCE, _checked_tolerance
 
 _FOURIER = 0.5 * np.array(
     [
@@ -53,8 +52,9 @@ def permutation_pulse(k: int) -> np.ndarray:
     return _PULSES[k].copy()
 
 
-def measure_probabilities(state, tol: float = NORMALIZATION_TOLERANCE) -> np.ndarray:
+def measure_probabilities(state, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Level populations |amplitude|^2 of a normalized four-level pure state."""
+    tol = _checked_tolerance(tol)
     s = np.asarray(state, dtype=complex)
     if s.shape != (4,):
         raise ValueError(f"expected a 4-component state vector, got shape {s.shape}")

@@ -8,7 +8,9 @@ and ``validate`` (density-matrix diagnostics).
 
 Exit codes: 0 on success, 1 on validation/data failure, 2 on usage
 errors.  The environment variable DWIGNER_TOLERANCE overrides the
-default validation tolerance of 1e-10; it must be finite and >= 0.
+default validation tolerance of 1e-10, the tolerance of the trace-moment
+inequalities ``validate`` prints, and the X-pattern tolerance of
+``delta --rep xstate`` and ``marginals``; it must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -225,7 +227,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    rho = _load_density(args.input, _tolerance())
+    tol = _tolerance()
+    rho = _load_density(args.input, tol)
     if args.rep == "pair":
         from .twoqubit import delta_pair, fano_extract
 
@@ -233,16 +236,17 @@ def _cmd_delta(args) -> int:
     else:
         from .states import xstate_delta, xstate_from_matrix
 
-        grid = xstate_delta(xstate_from_matrix(rho))
+        grid = xstate_delta(xstate_from_matrix(rho, tol))
     _write_grid(grid, args)
     return EXIT_OK
 
 
 def _cmd_marginals(args) -> int:
-    rho = _load_density(args.input, _tolerance())
+    tol = _tolerance()
+    rho = _load_density(args.input, tol)
     from .states import xstate_from_matrix, xstate_marginals
 
-    marginals = xstate_marginals(xstate_from_matrix(rho))
+    marginals = xstate_marginals(xstate_from_matrix(rho, tol))
     doc = {
         "mu": [float(v) for v in marginals.mu_marginal],
         "nu": [float(v) for v in marginals.nu_marginal],
@@ -287,13 +291,14 @@ def _cmd_validate(args) -> int:
     from .linalg import DensityMatrixError, hermiticity_defect, positivity_inequalities, validate_density
 
     matrix = _load_matrix(args.input)
+    tol = _tolerance()
     hermitian_part = (matrix + matrix.conj().T) / 2.0
     eigenvalues = np.linalg.eigvalsh(hermitian_part)
     print("eigenvalues: [" + ", ".join(repr(float(v)) for v in eigenvalues) + "]")
     print(f"trace: {float(np.trace(matrix).real)!r}")
     print(f"hermiticity defect: {hermiticity_defect(matrix)!r}")
     if matrix.shape[0] == 4:
-        report = positivity_inequalities(hermitian_part)
+        report = positivity_inequalities(hermitian_part, tol)
         print(f"tr(rho^2): {report.trace_sq!r}")
         print(f"tr(rho^3): {report.trace_cube!r}")
         print(f"tr(rho^4): {report.trace_fourth!r}")
@@ -301,7 +306,7 @@ def _cmd_validate(args) -> int:
         print(f"inequality 2 (tr3 lower bound): {'pass' if report.ineq2 else 'fail'}")
         print(f"inequality 3 (tr4 upper bound): {'pass' if report.ineq3 else 'fail'}")
     try:
-        validate_density(matrix, _tolerance())
+        validate_density(matrix, tol)
     except DensityMatrixError as exc:
         print(f"verdict: invalid ({'; '.join(name for name, _ in exc.violations)})")
         return EXIT_INVALID

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import MappingKernel, _clock_shift, wigner_grid
-from .linalg import DEFAULT_TOLERANCE, hermitian_matrix
+from .kernel import MappingKernel, _clock_shift, _real_rows, wigner_grid
+from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -205,6 +205,7 @@ def verify_algebra(gs: GeneratorSet, tol: float = DEFAULT_TOLERANCE) -> AlgebraR
     both Jacobi identities, and the cubic and quartic trace product
     formulas.
     """
+    tol = _checked_tolerance(tol)
     stack = gs.stack()
     m, n = stack.shape[0], gs.dim
     eye = np.eye(n, dtype=complex)
@@ -265,7 +266,7 @@ def bloch_vector(rho, gs: GeneratorSet | None = None) -> np.ndarray:
         gs = generators(a.shape[0])
     if gs.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: generators {gs.dim} vs matrix {a.shape[0]}")
-    return np.real(np.einsum("iab,ba->i", gs.stack(), a))
+    return _real_rows(gs.stack()) @ _real_rows(a)[0]
 
 
 def density_from_bloch(components, n: int) -> np.ndarray:

@@ -115,8 +115,8 @@ class MappingKernel:
     ``reconstruct``.  ``kernel(n)`` carries ``factors`` instead of a
     stack: ``wigner_grid`` and ``reconstruct`` evaluate it from them, and
     its read-only ``ops`` table is built only on first access.  Every
-    stack in the package is C-contiguous, so the flat (cells, n^2) view
-    that ``wigner_grid`` contracts is not a copy.
+    stack in the package is C-contiguous, so the real (cells, 2 n^2) rows
+    that ``wigner_grid`` contracts are a view of it, not a copy.
     """
 
     def __init__(self, dim: int, ops: np.ndarray | None = None, factors: PhasePointFactors | None = None):
@@ -132,8 +132,20 @@ class MappingKernel:
         """The (*grid, n, n) stack; for ``kernel(n)``, its phase-point table built on first access."""
         return _phase_point_table(self.dim)
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        # the stack's real (cells, 2 n^2) rows, taken once: a view, so it holds no second table
+        return _real_rows(self.ops)
+
     def __getitem__(self, key) -> np.ndarray:
         return self.ops[key]
+
+
+def _real_rows(stack) -> np.ndarray:
+    # a (..., n, n) stack as real (k, 2 n^2) rows [Re, Im, Re, Im, ...], so the dot product of
+    # two rows is Re Tr[A† B]; a view, not a copy, of a C-contiguous complex stack
+    s = np.ascontiguousarray(stack, dtype=complex)
+    return s.reshape(-1, s.shape[-1] ** 2).view(float)
 
 
 def _cell_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +201,8 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     O(n^2) memory: gather R[j, xi] = rho[j, (j + xi) mod n], correlate
     R with conj(c) along j through two DFT products and the cached
     spectrum, and take one DFT along xi.  Over any other stack they are
-    one matrix-vector product: the stack viewed as a flat (cells, n^2)
-    matrix, without a copy, times the n^2 entries of conj(rho).  A
+    one real matrix-vector product, Re Tr[G† rho] as the dot product of
+    the stack's real (cells, 2 n^2) rows, a view of it, with rho's.  A
     DensityMatrix is exactly Hermitian; a raw array must be Hermitian
     within 1e-10, and its values are then those of its Hermitian part,
     since every cell operator is Hermitian.
@@ -205,16 +217,13 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
         # W(mu, nu) = Re sum_xi w^(nu xi) sum_j conj(c[(j - mu) mod n, xi]) R[j, xi]
         r = a.take(f.gather)
         return (f.dft @ (f.spectrum * (f.dft_h @ r)) @ f.dft).real
-    # Re Tr[G† a] = Re Tr[G a*ᵀ]: conjugating the small matrix, not the table
-    n = kern.dim
-    flat = kern.ops.reshape(-1, n * n)
-    return (flat @ a.conj().ravel()).real.reshape(kern.ops.shape[:-2])
+    return (kern._rows @ _real_rows(a)[0]).reshape(kern.ops.shape[:-2])
 
 
 def _coefficient_map(kern: MappingKernel, basis) -> np.ndarray:
-    # column k is wigner_grid(B_k).ravel(); a grid is linear in rho over the reals, so for
+    # entry (p, k) is Re Tr[G†(p) B_k]; a grid is linear in rho over the reals, so for
     # rho = sum_k t_k B_k with Hermitian B_k and real t_k it is this (cells, k) matrix times t
-    table = np.stack([wigner_grid(b, kern).ravel() for b in basis], axis=1)
+    table = kern._rows @ _real_rows(basis).T
     table.flags.writeable = False
     return table
 

@@ -15,6 +15,15 @@ import numpy as np
 DEFAULT_TOLERANCE = 1e-10
 
 
+def _checked_tolerance(tol: float | None) -> float:
+    # None means DEFAULT_TOLERANCE; NaN and infinity would pass every check, so they raise
+    if tol is None:
+        return DEFAULT_TOLERANCE
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -44,6 +53,7 @@ def hermiticity_defect(a) -> float:
 
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, in ascending order."""
+    tol = _checked_tolerance(tol)
     a = as_matrix(a)
     defect = hermiticity_defect(a)
     if defect > tol:
@@ -117,10 +127,7 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     tolerance that is negative or not finite raises ``ValueError``: NaN
     and infinity would pass every check.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCE
-    elif not math.isfinite(tol) or tol < 0:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    tol = _checked_tolerance(tol)
     a = as_matrix(m)
     adjoint = a.conj().T
     violations = []
@@ -172,6 +179,7 @@ class PositivityReport:
 
 def positivity_inequalities(rho, tol: float = DEFAULT_TOLERANCE) -> PositivityReport:
     """Evaluate the three trace-moment inequalities for a Hermitian 4x4 matrix."""
+    tol = _checked_tolerance(tol)
     a = hermitian_matrix(rho)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import _coefficient_map
-from .linalg import DEFAULT_TOLERANCE, DensityMatrix, hermitian_matrix, validate_density
+from .linalg import DEFAULT_TOLERANCE, DensityMatrix, _checked_tolerance, hermitian_matrix, validate_density
 from .twoqubit import FanoCoefficients, _fano_grid, _half_sum, _rep_kernel, fano_matrix, wigner_pair
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -139,6 +139,7 @@ class XState:
         return m
 
     def is_physical(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+        tol = _checked_tolerance(tol)
         outer_ok = abs(self.rho14) ** 2 <= self.rho11 * self.rho44 + tol
         inner_ok = abs(self.rho23) ** 2 <= self.rho22 * self.rho33 + tol
         return bool(outer_ok and inner_ok)
@@ -158,6 +159,7 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     ``tol`` bounds the elements off the X pattern; ``hermitian_matrix`` guards Hermiticity.
     The coherences are read from the Hermitian part, as every grid is.
     """
+    tol = _checked_tolerance(tol)
     a = hermitian_matrix(m)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
@@ -288,15 +290,10 @@ def gisin_from_combinations(square_difference: float, product: float, x: float) 
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {x}")
-    p2 = (square_difference + 0.5) * x
-    p3 = -(square_difference - 0.5) * x
-    for label, p in (("rho22", p2), ("rho33", p3)):
-        if p < -DEFAULT_TOLERANCE:
-            raise ValueError(f"population {label} is negative: {p}")
     return XState(
         rho11=(1.0 - x) / 2.0,
-        rho22=p2,
-        rho33=p3,
+        rho22=(square_difference + 0.5) * x,
+        rho33=-(square_difference - 0.5) * x,
         rho44=(1.0 - x) / 2.0,
         rho14=0.0,
         rho23=-product * x,

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generators import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch, su4_kernel
-from .kernel import MappingKernel, _coefficient_map, kernel, wigner_grid
+from .generators import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch, generators, su4_kernel
+from .kernel import MappingKernel, _coefficient_map, _real_rows, kernel, wigner_grid
 from .linalg import DensityMatrix, hermitian_matrix, validate_density
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -88,11 +88,11 @@ def fano_compose(f: FanoCoefficients, tol: float | None = None) -> DensityMatrix
 
 
 def fano_extract(rho) -> FanoCoefficients:
-    """Read the 15 coefficients off a Hermitian 4x4 matrix by Pauli-product traces."""
+    """The 15 coefficients Tr[P_k rho] of a Hermitian 4x4 matrix, as the Pauli products' real rows times rho's."""
     m = hermitian_matrix(rho)
     if m.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {m.shape[0]}")
-    t = np.einsum("kij,ji->k", _pauli_products(), m).real
+    t = _real_rows(_pauli_products()) @ _real_rows(m)[0]
     return FanoCoefficients(a=t[:3], b=t[3:6], c=t[6:].reshape(3, 3))
 
 
@@ -193,33 +193,22 @@ def delta_pair(f: FanoCoefficients) -> np.ndarray:
     return w - np.multiply.outer(_half_sum(w, 1), _half_sum(w, 2))
 
 
+@lru_cache(maxsize=None)
+def _su4_basis_map() -> np.ndarray:
+    # entry (i, k) is Tr[g_i P_k] / 2, so for rho = (I + sum_k t_k P_k) / 4, 2 Tr[g_i rho] is this times t
+    table = _real_rows(generators(4).stack()) @ _real_rows(_pauli_products()).T / 2.0
+    table.flags.writeable = False
+    return table
+
+
 def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
     """Coefficients of the same state over the 15 dimension-4 generators.
 
     The composed matrix equals (I + sum_i coeffs[i] g_i) / 4; each
-    coefficient is twice the corresponding generator mean value.
+    coefficient is twice the corresponding generator mean value: the Fano
+    vector [a, b, vec c] times the cached (15, 15) map Tr[g_i P_k] / 2.
     """
-    a, b, c = f.a, f.b, f.c
-    r3, r6 = np.sqrt(3.0), np.sqrt(6.0)
-    return np.array(
-        [
-            b[0] + c[2, 0],
-            b[1] + c[2, 1],
-            b[2] + c[2, 2],
-            a[0] + c[0, 2],
-            a[1] + c[1, 2],
-            c[0, 0] + c[1, 1],
-            -c[0, 1] + c[1, 0],
-            (2.0 * a[2] - b[2] + c[2, 2]) / r3,
-            c[0, 0] - c[1, 1],
-            c[0, 1] + c[1, 0],
-            a[0] - c[0, 2],
-            a[1] - c[1, 2],
-            b[0] - c[2, 0],
-            b[1] - c[2, 1],
-            2.0 * (a[2] + b[2] - c[2, 2]) / r6,
-        ]
-    )
+    return _su4_basis_map() @ np.concatenate([f.a, f.b, f.c.ravel()])
 
 
 def density_from_su4_coefficients(coeffs) -> np.ndarray:

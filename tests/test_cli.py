@@ -315,3 +315,31 @@ def test_fidelity_refuses_a_non_finite_tolerance(matrix_file, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["kind"] == "usage"
+
+
+@pytest.mark.parametrize("command", [["delta", "--rep", "xstate"], ["marginals"]])
+def test_x_pattern_check_honours_tolerance_environment(command, matrix_file, capsys, monkeypatch):
+    # a valid density matrix with rho[0,1] = rho[1,0] = 1e-7 off the X pattern: refused as
+    # "not X-form" at the default tolerance, read as the X state without it at 1e-5
+    x_form = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
+    x_form[0, 3] = x_form[3, 0] = 0.1
+    leaky = x_form.copy()
+    leaky[0, 1] = leaky[1, 0] = 1e-7
+    argv = [command[0], "--input", matrix_file("leaky.json", leaky), *command[1:]]
+    assert main(argv) == 1
+    assert "not X-form" in capsys.readouterr().err
+    monkeypatch.setenv("DWIGNER_TOLERANCE", "1e-5")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main([command[0], "--input", matrix_file("x.json", x_form), *command[1:]]) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_validate_inequalities_honour_tolerance_environment(matrix_file, capsys, monkeypatch):
+    # an eigenvalue of -2e-6: valid at 1e-5, where every trace-moment inequality must hold too
+    path = matrix_file("neg.json", np.diag([1 / 3, 1 / 3, 1 / 3 + 2e-6, -2e-6]))
+    monkeypatch.setenv("DWIGNER_TOLERANCE", "1e-5")
+    assert main(["validate", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": pass\n") == 3 and "fail" not in out
+    assert out.endswith("verdict: valid density matrix\n")

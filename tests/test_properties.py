@@ -154,8 +154,8 @@ def test_import_builds_no_coefficient_map():
     code = (
         "import dwigner\n"
         "from dwigner.states import _xstate_map\n"
-        "from dwigner.twoqubit import _fano_map\n"
-        "print(_fano_map.cache_info().currsize, _xstate_map.cache_info().currsize)"
+        "from dwigner.twoqubit import _fano_map, _su4_basis_map\n"
+        "print(*(f.cache_info().currsize for f in (_fano_map, _xstate_map, _su4_basis_map)))"
     )
     src = str(Path(dwigner.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -166,4 +166,4 @@ def test_import_builds_no_coefficient_map():
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
