@@ -58,6 +58,8 @@ def measure_probabilities(state, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     s = np.asarray(state, dtype=complex)
     if s.shape != (4,):
         raise ValueError(f"expected a 4-component state vector, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"amplitudes must be finite, got {s.tolist()}")
     probabilities = np.abs(s) ** 2
     total = float(np.sum(probabilities))
     if abs(total - 1.0) > tol:

@@ -1,5 +1,11 @@
 """Generator sets for the special unitary groups of dimensions 2 and 4.
 
+Both sets follow one rule, the generalized Gell-Mann construction: for
+each level l = 1 ... n-1, the real coupling E_kl + E_lk and then the
+imaginary coupling -i(E_kl - E_lk) to every lower level k, then the
+diagonal diag(1, ..., 1, -l, 0, ...) divided by sqrt(l(l+1)/2).  The
+Pauli matrices ``PAULI_X, PAULI_Y, PAULI_Z`` are ``generators(2)``.
+
 Covers the algebraic law checks (orthonormality, closure, Jacobi
 identities, trace products), Bloch vectors, phase-space representatives
 of each generator, the four-level cell-operator stack built from them,
@@ -16,43 +22,19 @@ import numpy as np
 from .kernel import MappingKernel, _clock_shift, _real_rows, wigner_grid
 from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _p in (PAULI_X, PAULI_Y, PAULI_Z):
-    _p.flags.writeable = False
 
-
-def _transition(alpha: int, beta: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[alpha, beta] = 1.0
-    return m
-
-
-def _su4_matrices() -> tuple[np.ndarray, ...]:
-    def sym(a, b):
-        return _transition(a, b) + _transition(b, a)
-
-    def asym(a, b):
-        return -1j * (_transition(a, b) - _transition(b, a))
-
-    return (
-        sym(0, 1),
-        asym(0, 1),
-        np.diag([1, -1, 0, 0]).astype(complex),
-        sym(0, 2),
-        asym(0, 2),
-        sym(1, 2),
-        asym(1, 2),
-        np.diag([1, 1, -2, 0]).astype(complex) / np.sqrt(3),
-        sym(0, 3),
-        asym(0, 3),
-        sym(1, 3),
-        asym(1, 3),
-        sym(2, 3),
-        asym(2, 3),
-        np.diag([1, 1, 1, -3]).astype(complex) / np.sqrt(6),
-    )
+def _gell_mann(n: int) -> tuple[np.ndarray, ...]:
+    # the generalized Gell-Mann rule of the module docstring
+    # (Bertlmann & Krammer, J. Phys. A 41, 235303 (2008))
+    unit = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # unit[k, l] = E_kl
+    matrices = []
+    for level in range(1, n):
+        for k in range(level):
+            matrices.append(unit[k, level] + unit[level, k])
+            matrices.append(-1j * (unit[k, level] - unit[level, k]))
+        diagonal = np.diag([1] * level + [-level] + [0] * (n - level - 1)).astype(complex)
+        matrices.append(diagonal / np.sqrt(level * (level + 1) / 2))
+    return tuple(matrices)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -87,15 +69,15 @@ class GeneratorSet:
 @lru_cache(maxsize=None)
 def generators(n: int) -> GeneratorSet:
     """Generator set for dimension n; supported dimensions are 2 and 4."""
-    if n == 2:
-        matrices = (PAULI_X.copy(), PAULI_Y.copy(), PAULI_Z.copy())
-    elif n == 4:
-        matrices = _su4_matrices()
-    else:
+    if n not in (2, 4):
         raise ValueError(f"unsupported dimension {n}; expected 2 or 4")
+    matrices = _gell_mann(n)
     for m in matrices:
         m.flags.writeable = False
     return GeneratorSet(dim=n, matrices=matrices)
+
+
+PAULI_X, PAULI_Y, PAULI_Z = generators(2)
 
 
 # Each dimension-4 generator as a polynomial in the clock/shift pair;
@@ -160,9 +142,15 @@ class StructureConstants:
     symmetric: np.ndarray  # symmetric in the first two indices; fixes the anticommutators
 
 
-def _triple_traces(stack: np.ndarray) -> np.ndarray:
-    pair_products = np.einsum("iab,jbc->ijac", stack, stack)
-    return np.einsum("ijab,kba->ijk", pair_products, stack)
+def _trace_products(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    # the pair products P[i, j] = g_i g_j, the triple traces Tr[g_i g_j g_k] and the
+    # structure tensors f and d they give: the one source of every product law
+    pairs = np.einsum("iab,jbc->ijac", stack, stack)
+    triples = np.einsum("ijab,kba->ijk", pairs, stack)
+    swapped = np.transpose(triples, (1, 0, 2))
+    f = np.real(-0.25j * (triples - swapped))
+    d = np.real(0.25 * (triples + swapped))
+    return pairs, triples, f, d
 
 
 def structure_constants(gs: GeneratorSet) -> StructureConstants:
@@ -171,11 +159,7 @@ def structure_constants(gs: GeneratorSet) -> StructureConstants:
     antisymmetric_ijk = -i/4 Tr[[g_i, g_j] g_k] and
     symmetric_ijk     =  1/4 Tr[{g_i, g_j} g_k].
     """
-    stack = gs.stack()
-    triples = _triple_traces(stack)
-    swapped = np.transpose(triples, (1, 0, 2))
-    f = np.real(-0.25j * (triples - swapped))
-    d = np.real(0.25 * (triples + swapped))
+    _, _, f, d = _trace_products(gs.stack())
     f.flags.writeable = False
     d.flags.writeable = False
     return StructureConstants(dim=gs.dim, antisymmetric=f, symmetric=d)
@@ -209,18 +193,18 @@ def verify_algebra(gs: GeneratorSet, tol: float = DEFAULT_TOLERANCE) -> AlgebraR
     stack = gs.stack()
     m, n = stack.shape[0], gs.dim
     eye = np.eye(n, dtype=complex)
-    sc = structure_constants(gs)
-    f, d = sc.antisymmetric, sc.symmetric
+    pairs, triples, f, d = _trace_products(stack)
     j = d + 1j * f
 
-    comms = np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
-    antis = np.einsum("iab,jbc->ijac", stack, stack) + np.einsum("jab,ibc->ijac", stack, stack)
+    swapped = np.transpose(pairs, (1, 0, 2, 3))
+    comms = pairs - swapped
+    antis = pairs + swapped
 
     deviations = {
         "hermiticity": float(np.max(np.abs(stack - np.conj(np.transpose(stack, (0, 2, 1)))))),
         "tracelessness": float(np.max(np.abs(np.trace(stack, axis1=1, axis2=2)))),
         "orthonormality": float(
-            np.max(np.abs(np.einsum("iab,jba->ij", stack, stack) - 2 * np.eye(m)))
+            np.max(np.abs(np.trace(pairs, axis1=2, axis2=3) - 2 * np.eye(m)))
         ),
         "commutator_closure": float(
             np.max(np.abs(comms - 2j * np.einsum("ijk,kab->ijab", f, stack)))
@@ -245,12 +229,9 @@ def verify_algebra(gs: GeneratorSet, tol: float = DEFAULT_TOLERANCE) -> AlgebraR
 
     deviations["jacobi_commutator"] = float(np.max(np.abs(cyclic(comms))))
     deviations["jacobi_mixed"] = float(np.max(np.abs(cyclic(antis))))
-
-    triples = _triple_traces(stack)
     deviations["triple_trace"] = float(np.max(np.abs(triples - 2 * j)))
 
-    pair_products = np.einsum("iab,jbc->ijac", stack, stack)
-    quartics = np.einsum("ijab,klba->ijkl", pair_products, pair_products)
+    quartics = np.einsum("ijab,klba->ijkl", pairs, pairs)
     expected = (4.0 / n) * np.einsum("ij,kl->ijkl", np.eye(m), np.eye(m)) + 2 * np.einsum(
         "ijp,pkl->ijkl", j, j
     )
@@ -307,13 +288,17 @@ def generator_representative(i: int, mu: int, nu: int, dim: int = 4) -> float:
     """Phase-space representative of generator i in closed form.
 
     Total over all integer points: the grid indices enter through their
-    residues modulo the dimension.  For dimension 4 these are the
-    standard closed forms of the four-level convention; the diagonal
-    generators agree with the invertible kernel while coherence sectors
-    deviate from it (that convention is not informationally complete).
+    residues modulo the dimension, and a non-integer index raises
+    ValueError.  For dimension 4 these are the standard closed forms of
+    the four-level convention; the diagonal generators agree with the
+    invertible kernel while coherence sectors deviate from it (that
+    convention is not informationally complete).
     """
     if dim not in (2, 4):
         raise ValueError(f"unsupported dimension {dim}; expected 2 or 4")
+    for name, value in (("i", i), ("mu", mu), ("nu", nu)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     mu %= dim
     nu %= dim
     if dim == 2:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import _coefficient_map
-from .linalg import DEFAULT_TOLERANCE, DensityMatrix, _checked_tolerance, hermitian_matrix, validate_density
+from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
 from .twoqubit import FanoCoefficients, _fano_grid, _half_sum, _rep_kernel, fano_matrix, wigner_pair
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -101,10 +101,12 @@ def werner_wigner(fraction: float, rep: str = "pair") -> np.ndarray:
 class XState:
     """State whose matrix is supported on the main diagonal and antidiagonal.
 
-    Construction checks that every field is finite and that the
-    populations are nonnegative and sum to one.  The antidiagonal 2x2 blocks are only required to be positive
-    when converting to a validated density matrix, so coherence choices
-    outside the state space stay representable for exploratory use.
+    Construction checks that every field is finite, that the populations
+    are real, nonnegative and sum to one.  The antidiagonal 2x2 blocks
+    are not required to be positive (``is_physical`` reports whether they
+    are, and ``validate_density(x.matrix())`` refuses them when not), so
+    coherence choices outside the state space stay representable for
+    exploratory use.
     """
 
     rho11: float
@@ -118,6 +120,8 @@ class XState:
         fields = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
         if not np.all(np.isfinite(np.array(fields, dtype=complex))):
             raise ValueError(f"X-state fields must be finite, got {fields}")
+        if np.iscomplexobj(fields[:4]):
+            raise ValueError(f"populations must be real, got {fields[:4]}")
         populations = self.populations
         for label, p in zip(("rho11", "rho22", "rho33", "rho44"), populations):
             if p < -DEFAULT_TOLERANCE:
@@ -143,9 +147,6 @@ class XState:
         outer_ok = abs(self.rho14) ** 2 <= self.rho11 * self.rho44 + tol
         inner_ok = abs(self.rho23) ** 2 <= self.rho22 * self.rho33 + tol
         return bool(outer_ok and inner_ok)
-
-    def to_density(self, tol: float | None = None) -> DensityMatrix:
-        return validate_density(self.matrix(), tol)
 
 
 # every entry off the diagonal and antidiagonal: the elements an X-form matrix leaves zero

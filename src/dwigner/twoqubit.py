@@ -14,11 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generators import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch, generators, su4_kernel
+from .generators import density_from_bloch, generators, su4_kernel
 from .kernel import MappingKernel, _coefficient_map, _real_rows, kernel, wigner_grid
 from .linalg import DensityMatrix, hermitian_matrix, validate_density
-
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -62,10 +60,11 @@ def _pauli_products() -> np.ndarray:
     # sigma_i x I, then I x sigma_j, then sigma_i x sigma_j row by row:
     # the order of the coefficients a, b, c
     eye2 = np.eye(2, dtype=complex)
+    paulis = generators(2)
     stack = np.array(
-        [np.kron(p, eye2) for p in _PAULIS]
-        + [np.kron(eye2, p) for p in _PAULIS]
-        + [np.kron(p, q) for p in _PAULIS for q in _PAULIS]
+        [np.kron(p, eye2) for p in paulis]
+        + [np.kron(eye2, p) for p in paulis]
+        + [np.kron(p, q) for p in paulis for q in paulis]
     )
     stack.flags.writeable = False
     return stack

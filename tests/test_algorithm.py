@@ -126,3 +126,9 @@ def test_measure_probabilities_born_rule(rng):
 def test_measure_probabilities_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         measure_probabilities(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("amplitude", (np.nan, complex(np.nan, 0.0), complex(0.0, np.inf)))
+def test_measure_probabilities_rejects_non_finite_amplitudes(amplitude):
+    with pytest.raises(ValueError, match="finite"):
+        measure_probabilities([amplitude, 0, 0, 0])

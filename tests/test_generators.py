@@ -81,6 +81,38 @@ def test_structure_constants_qubit_case():
     np.testing.assert_allclose(sc.symmetric, 0.0, atol=1e-12)
 
 
+# published su(4) structure constants, 1-based Gell-Mann labels: the su(3) block
+# (Gell-Mann, Phys. Rev. 125, 1067 (1962)) and three entries checked by hand from the traces
+SU4_ANTISYMMETRIC = (
+    ((1, 2, 3), 1.0),
+    ((1, 4, 7), 0.5), ((2, 4, 6), 0.5), ((2, 5, 7), 0.5), ((3, 4, 5), 0.5),
+    ((1, 5, 6), -0.5), ((3, 6, 7), -0.5),
+    ((4, 5, 8), np.sqrt(3) / 2), ((6, 7, 8), np.sqrt(3) / 2),
+    ((13, 14, 15), np.sqrt(2 / 3)),
+)
+SU4_SYMMETRIC = (
+    ((1, 1, 8), 1 / np.sqrt(3)), ((8, 8, 8), -1 / np.sqrt(3)),
+    ((1, 4, 6), 0.5), ((4, 4, 8), -1 / (2 * np.sqrt(3))),
+    ((1, 1, 15), 1 / np.sqrt(6)), ((15, 15, 15), -2 / np.sqrt(6)),
+)
+
+
+@pytest.mark.parametrize("labels, value", SU4_ANTISYMMETRIC)
+def test_su4_antisymmetric_published_values(labels, value):
+    f = structure_constants(generators(4)).antisymmetric
+    i, j, k = (label - 1 for label in labels)
+    for (a, b, c), sign in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1), ((j, i, k), -1)):
+        assert f[a, b, c] == pytest.approx(sign * value, abs=1e-12)
+
+
+@pytest.mark.parametrize("labels, value", SU4_SYMMETRIC)
+def test_su4_symmetric_published_values(labels, value):
+    d = structure_constants(generators(4)).symmetric
+    i, j, k = (label - 1 for label in labels)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j), (j, i, k)):
+        assert d[a, b, c] == pytest.approx(value, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", (2, 4))
 def test_antisymmetric_tensor_vanishing_diagonal(n):
     f = structure_constants(generators(n)).antisymmetric
@@ -170,6 +202,19 @@ def test_representative_index_errors():
         generator_representative(15, 0, 0)
     with pytest.raises(ValueError):
         generator_representative(0, 0, 0, dim=3)
+
+
+@pytest.mark.parametrize("index", ((0, 0.5, 0), (2, np.nan, 0), (0, 0, 0.5), (1.0, 0, 0)))
+def test_representative_rejects_non_integer_indices(index):
+    with pytest.raises(ValueError, match="integer"):
+        generator_representative(*index)
+
+
+def test_representative_takes_numpy_integers():
+    for i, mu, nu in ((0, 1, 2), (7, 2, 3), (14, 3, 1)):
+        assert generator_representative(np.int64(i), np.int32(mu), np.uint8(nu)) == (
+            generator_representative(i, mu, nu)
+        )
 
 
 def test_qubit_representatives_match_kernel():

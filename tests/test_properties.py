@@ -153,9 +153,14 @@ def test_coefficient_maps_are_cached_read_only_real_matrices(coefficient_map, wi
 def test_import_builds_no_coefficient_map():
     code = (
         "import dwigner\n"
+        "from dwigner.generators import generators, su4_kernel\n"
         "from dwigner.states import _xstate_map\n"
-        "from dwigner.twoqubit import _fano_map, _su4_basis_map\n"
-        "print(*(f.cache_info().currsize for f in (_fano_map, _xstate_map, _su4_basis_map)))"
+        "from dwigner.twoqubit import _fano_map, _su4_basis_map, pair_kernel\n"
+        "maps = (_fano_map, _xstate_map, _su4_basis_map, su4_kernel, pair_kernel)\n"
+        "print(*(f.cache_info().currsize for f in maps))\n"
+        "print(generators.cache_info().currsize)\n"
+        "generators(2)\n"
+        "print(generators.cache_info().currsize)"
     )
     src = str(Path(dwigner.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -166,4 +171,7 @@ def test_import_builds_no_coefficient_map():
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert out.stdout.split() == ["0", "0", "0"]
+    maps, cached, with_qubit_set = out.stdout.splitlines()
+    assert maps.split() == ["0", "0", "0", "0", "0"]
+    # at most the n = 2 set: adding it leaves a single cached set
+    assert int(cached) <= 1 and int(with_qubit_set) == 1

@@ -153,6 +153,14 @@ def test_xstate_rejects_non_finite_fields():
         gisin_from_combinations(0.1, np.nan, 0.5)
 
 
+@pytest.mark.parametrize(
+    "population", (np.complex128(0.5 + 0.3j), 0.5 + 0.3j, 0.5 + 0j), ids=("numpy", "python", "real-valued")
+)
+def test_xstate_rejects_complex_populations(population):
+    with pytest.raises(ValueError, match="real"):
+        XState(population, 0.2, 0.2, 0.1)
+
+
 def test_xstate_block_positivity_flag():
     sound = XState(0.5, 0.0, 0.0, 0.5, rho14=0.49)
     assert sound.is_physical()
