@@ -6,19 +6,24 @@ family, and the Peres-Horodecki and Gisin families, together with
 marginals and the correlation signature on the 4x4 grid.  Every grid is
 that of ``wigner_grid`` over the pair or the four-level cell-operator
 stack, computed in coefficient form: a cached real map, built from the
-stack on first use, times the family's real parameters.
+stack on first use, times the family's real parameters.  An ``XState``
+stores its eight real fields as one read-only vector, and
+``_xstate_map(rep)`` stacks the grid rows over the rows of the
+reductions' half-sums ("pair") or of the mu- and nu-marginals ("su4"), so
+every X-state grid, marginal and signature is one product with it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .kernel import _coefficient_map
 from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
-from .twoqubit import FanoCoefficients, _fano_grid, _half_sum, _rep_kernel, fano_matrix, wigner_pair
+from .twoqubit import _FIRST, _GRID_SHAPE, _SECOND, _fano_grid, _half_rows, _stacked_map
+from .twoqubit import FanoCoefficients, fano_matrix, wigner_pair
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -97,16 +102,28 @@ def werner_wigner(fraction: float, rep: str = "pair") -> np.ndarray:
     return _fano_grid(_werner_fano(fraction), rep)
 
 
+# the bound on |sum of populations - 1| of an XState built from its fields
+_POPULATION_SUM_TOLERANCE = 1e-9
+_FIELD_NAMES = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
+# the stored vector's entries in the real view [Re, Im, Re, Im, ...] of the six fields
+_FIELD_PARTS = np.array([0, 2, 4, 6, 8, 9, 10, 11])
+_FIELD_PARTS.flags.writeable = False
+
+
 @dataclasses.dataclass(frozen=True)
 class XState:
     """State whose matrix is supported on the main diagonal and antidiagonal.
 
     Construction checks that every field is finite, that the populations
-    are real, nonnegative and sum to one.  The antidiagonal 2x2 blocks
-    are not required to be positive (``is_physical`` reports whether they
-    are, and ``validate_density(x.matrix())`` refuses them when not), so
-    coherence choices outside the state space stay representable for
-    exploratory use.
+    are real, nonnegative (within ``DEFAULT_TOLERANCE``) and sum to one
+    (within 1e-9), and stores the eight real fields as one read-only
+    vector t = [rho11, rho22, rho33, rho44, Re rho14, Im rho14, Re rho23,
+    Im rho23] (private ``_vector``); every grid, marginal and signature is
+    the cached map ``_xstate_map(rep)`` times t.  The antidiagonal 2x2
+    blocks are not required to be positive (``is_physical`` reports
+    whether they are, and ``validate_density(x.matrix())`` refuses them
+    when not), so coherence choices outside the state space stay
+    representable for exploratory use.
     """
 
     rho11: float
@@ -118,21 +135,50 @@ class XState:
 
     def __post_init__(self):
         fields = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
-        if not np.all(np.isfinite(np.array(fields, dtype=complex))):
+        parts = np.array(fields, dtype=complex).view(float)
+        if not all(map(math.isfinite, parts.tolist())):
             raise ValueError(f"X-state fields must be finite, got {fields}")
-        if np.iscomplexobj(fields[:4]):
+        # Python and numpy reals cannot make the populations complex; anything else is asked
+        if not all(isinstance(p, (float, int)) for p in fields[:4]) and np.iscomplexobj(fields[:4]):
             raise ValueError(f"populations must be real, got {fields[:4]}")
-        populations = self.populations
-        for label, p in zip(("rho11", "rho22", "rho33", "rho44"), populations):
-            if p < -DEFAULT_TOLERANCE:
+        for name, value in zip(_FIELD_NAMES, fields):
+            if isinstance(value, np.ndarray):  # a 0-d array: keep a read-only copy, apart from the caller's
+                value = value.copy()
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        self._adopt(parts[_FIELD_PARTS], DEFAULT_TOLERANCE)
+
+    def _adopt(self, t: np.ndarray, tol: float) -> None:
+        # take t as the stored vector once its populations are >= -tol and sum to 1 within
+        # max(tol, _POPULATION_SUM_TOLERANCE); then freeze it
+        populations = t[:4].tolist()
+        for label, p in zip(_FIELD_NAMES, populations):
+            if p < -tol:
                 raise ValueError(f"population {label} is negative: {p}")
-        total = float(np.sum(populations))
-        if abs(total - 1.0) > 1e-9:
+        total = sum(populations)
+        if abs(total - 1.0) > max(tol, _POPULATION_SUM_TOLERANCE):
             raise ValueError(f"populations must sum to 1, got {total}")
+        t.flags.writeable = False
+        object.__setattr__(self, "_vector", t)
+
+    @classmethod
+    def _from_vector(cls, t: np.ndarray, tol: float) -> XState:
+        # an XState whose fields are read from t, a fresh float (8,) array it stores uncopied
+        x = object.__new__(cls)
+        r11, r22, r33, r44, re14, im14, re23, im23 = t.tolist()
+        fields = (r11, r22, r33, r44, complex(re14, im14), complex(re23, im23))
+        for name, value in zip(_FIELD_NAMES, fields):
+            object.__setattr__(x, name, value)
+        x._adopt(t, tol)
+        return x
+
+    def __reduce__(self):
+        # copies and pickles are built anew from the fields, with a read-only vector of their own
+        return type(self), (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
 
     @property
     def populations(self) -> np.ndarray:
-        return np.array([self.rho11, self.rho22, self.rho33, self.rho44], dtype=float)
+        return self._vector[:4].copy()
 
     def matrix(self) -> np.ndarray:
         m = np.diag(self.populations).astype(complex)
@@ -149,37 +195,47 @@ class XState:
         return bool(outer_ok and inner_ok)
 
 
-# every entry off the diagonal and antidiagonal: the elements an X-form matrix leaves zero
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-_OFF_X.flags.writeable = False
+# row-major cell indices of a 4x4 matrix: rho11, rho22, rho33, rho44, rho14, rho23, rho41,
+# rho32, then the eight cells off the diagonal and antidiagonal, which an X-form matrix leaves zero
+_X_CELLS = np.array([0, 5, 10, 15, 3, 6, 12, 9, 1, 2, 4, 7, 8, 11, 13, 14])
+_X_CELLS.flags.writeable = False
+# a real map of the first eight cells' real view [Re, Im, Re, Im, ...]: the populations' real
+# parts, then rho14 + conj rho41 and rho23 + conj rho32, which halved are the Hermitian part's
+# coherences
+_X_READ = np.zeros((8, 16))
+_X_READ[range(4), range(0, 8, 2)] = 1.0
+_X_READ[range(4, 8), range(8, 12)] = 1.0  # rho14, rho23
+_X_READ[range(4, 8), range(12, 16)] = (1.0, -1.0, 1.0, -1.0)  # conj rho41, conj rho32
+_X_READ.flags.writeable = False
 
 
 def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     """Read a Hermitian X-form matrix into its six potentially nonzero elements.
 
-    ``tol`` bounds the elements off the X pattern; ``hermitian_matrix`` guards Hermiticity.
-    The coherences are read from the Hermitian part, as every grid is.
+    ``tol`` bounds the elements off the X pattern and widens, never narrows,
+    the constructor's population checks: each population must be at least
+    -max(tol, DEFAULT_TOLERANCE) and their sum within max(tol, 1e-9) of
+    one, so a matrix that ``validate_density`` accepts at ``tol`` is read.
+    ``hermitian_matrix`` guards Hermiticity.  The coherences are read from
+    the Hermitian part, as every grid is; one ``take`` of the X cells and
+    one real product give the stored vector.
     """
     tol = _checked_tolerance(tol)
     a = hermitian_matrix(m)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
-    leak = float(np.abs(a[_OFF_X]).max())
+    cells = a.take(_X_CELLS)
+    leak = float(np.abs(cells[8:]).max())
     if leak > tol:
         raise ValueError(f"matrix is not X-form: off-pattern element of magnitude {leak:.3e}")
-    return XState(
-        rho11=float(a[0, 0].real),
-        rho22=float(a[1, 1].real),
-        rho33=float(a[2, 2].real),
-        rho44=float(a[3, 3].real),
-        rho14=complex(a[0, 3] + np.conj(a[3, 0])) / 2.0,
-        rho23=complex(a[1, 2] + np.conj(a[2, 1])) / 2.0,
-    )
+    t = _X_READ @ cells[:8].view(float)
+    t[4:] /= 2.0
+    return XState._from_vector(t, max(tol, DEFAULT_TOLERANCE))
 
 
 @lru_cache(maxsize=None)
 def _xstate_map(rep: str) -> np.ndarray:
-    # column k: the grid of B_k in x.matrix() = sum_k t_k B_k,
+    # column k: the grid and row sums of B_k in x.matrix() = sum_k t_k B_k,
     # t = [rho11, rho22, rho33, rho44, Re rho14, Im rho14, Re rho23, Im rho23]
     basis = np.zeros((8, 4, 4), dtype=complex)
     levels = np.arange(4)
@@ -187,7 +243,7 @@ def _xstate_map(rep: str) -> np.ndarray:
     for k, (i, j) in ((4, (0, 3)), (6, (1, 2))):
         basis[k, i, j] = basis[k, j, i] = 1.0
         basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
-    return _coefficient_map(_rep_kernel(rep), basis)
+    return _stacked_map(rep, basis)
 
 
 def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
@@ -195,20 +251,21 @@ def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
 
     Equals ``wigner_grid`` of ``x.matrix()`` over ``su4_kernel()`` or
     ``pair_kernel()``, but is computed in coefficient form: the grid is
-    linear in the eight real fields t = [rho11, rho22, rho33, rho44,
-    Re rho14, Im rho14, Re rho23, Im rho23], so it is one real (16, 8)
-    matrix, built from the stack on first use and cached, times t.  No
-    matrix is composed, and no Hermiticity guard runs: ``XState`` has
-    already refused non-finite fields.
+    linear in the stored vector t = [rho11, rho22, rho33, rho44,
+    Re rho14, Im rho14, Re rho23, Im rho23], so it is the grid rows of the
+    real (24, 8) map ``_xstate_map(rep)``, built from the stack on first
+    use and cached, times t.  No matrix is composed, and no Hermiticity
+    guard runs: ``XState`` has already refused non-finite fields.
     """
-    rho14, rho23 = complex(x.rho14), complex(x.rho23)
-    t = np.array([x.rho11, x.rho22, x.rho33, x.rho44, rho14.real, rho14.imag, rho23.real, rho23.imag])
-    return (_xstate_map(rep) @ t).reshape(_rep_kernel(rep).ops.shape[:-2])
+    return (_xstate_map(rep) @ x._vector)[:16].reshape(_GRID_SHAPE[rep])
 
 
 def xstate_reduced_wigner(x: XState, which: int) -> np.ndarray:
-    """2x2 grid of one qubit's reduction; constant along the nu axis."""
-    return _half_sum(xstate_wigner(x, "pair"), which)
+    """2x2 grid of one qubit's reduction; constant along the nu axis.
+
+    It is the half-sum rows of ``_xstate_map("pair")`` times the stored vector.
+    """
+    return (_xstate_map("pair") @ x._vector)[_half_rows(which)].reshape(2, 2)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -225,24 +282,34 @@ class MarginalPair:
     nu_marginal: np.ndarray
 
 
-def _marginals(w: np.ndarray) -> MarginalPair:
-    q = w.sum(axis=1) / 2.0
-    r = 0.25 + w.sum(axis=0) / 4.0
-    q.flags.writeable = False
-    r.flags.writeable = False
-    return MarginalPair(mu_marginal=q, nu_marginal=r)
+def _su4_rows(x: XState) -> np.ndarray:
+    # the 4x4 grid, the mu-marginal and the nu-marginal, stacked: _xstate_map("su4") times t, plus
+    # the nu-marginal's constant 1/4
+    v = _xstate_map("su4") @ x._vector
+    v[_SECOND] += 0.25
+    return v
 
 
 def xstate_marginals(x: XState) -> MarginalPair:
-    """Marginal distributions of the 4x4 X-state grid (see ``MarginalPair``)."""
-    return _marginals(xstate_wigner(x, "su4"))
+    """Marginal distributions of the 4x4 X-state grid (see ``MarginalPair``).
+
+    Both are rows of one product of the stacked (24, 8) map
+    ``_xstate_map("su4")`` with the stored vector; they are read-only.
+    """
+    v = _su4_rows(x)
+    v.flags.writeable = False
+    return MarginalPair(mu_marginal=v[_FIRST], nu_marginal=v[_SECOND])
 
 
 def xstate_delta(x: XState) -> np.ndarray:
-    """Correlation signature on the 4x4 grid: W minus the marginal product."""
-    w = xstate_wigner(x, "su4")
-    marginals = _marginals(w)
-    return w - np.outer(marginals.mu_marginal, marginals.nu_marginal)
+    """Correlation signature on the 4x4 grid: W minus the marginal product.
+
+    One product of the stacked (24, 8) map ``_xstate_map("su4")`` with the
+    stored vector gives W and both marginals; the signature is W minus
+    their outer product.
+    """
+    v = _su4_rows(x)
+    return v[:16].reshape(4, 4) - v[_FIRST, None] * v[_SECOND]
 
 
 def munro(gamma: float) -> XState:

@@ -4,6 +4,13 @@ Covers composition/extraction of the 15 real coefficients, reductions to
 single qubits, the four-index pair phase-space function in both the
 coefficient and the matrix-element form, the correlation signature, and
 the change of basis into the four-level generator description.
+
+A ``FanoCoefficients`` holds one read-only Fano vector t = [1, a, b, vec c].
+Every quantity read from it is affine in rho, so it is a cached real map
+times t: ``_fano_map(rep)`` stacks the 16 grid rows of ``pair_kernel()`` or
+``su4_kernel()`` over two blocks of fixed-axis row sums (the two half-sums
+for the pair grid, the mu- and nu-marginal rows for the 4x4 grid), and
+``_su4_basis_map()`` gives the generator coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +30,12 @@ from .linalg import DensityMatrix, hermitian_matrix, validate_density
 class FanoCoefficients:
     """Polarizations ``a`` (qubit 1), ``b`` (qubit 2) and correlations ``c``.
 
-    Construction checks the shapes and that every entry is finite.
+    Construction checks the shapes and that every entry is finite, and
+    copies the fields once into the stored read-only Fano vector
+    t = [1, a, b, vec c] (private ``_vector``); ``a``, ``b`` and ``c`` are
+    read-only views of it, so later writes to the caller's arrays do not
+    reach the object.  Every grid, half-sum and signature of the state is
+    the cached map ``_fano_map(rep)`` times t.
     """
 
     a: np.ndarray
@@ -31,21 +43,42 @@ class FanoCoefficients:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        c = np.asarray(self.c, dtype=float)
         if a.shape != (3,) or b.shape != (3,) or c.shape != (3, 3):
             raise ValueError(
                 f"expected shapes (3,), (3,), (3, 3); got {a.shape}, {b.shape}, {c.shape}"
             )
-        # one pass over all 15 entries; the field is named only when it fails
-        if not all(map(math.isfinite, [*a.tolist(), *b.tolist(), *c.ravel().tolist()])):
+        t = np.empty(16)
+        t[0] = 1.0
+        t[1:4], t[4:7], t[7:] = a, b, c.ravel()
+        self._adopt(t)
+
+    def _adopt(self, t: np.ndarray) -> None:
+        # take t = [1, a, b, vec c] as the stored vector: frozen first, so the fields made views of
+        # it are read-only too, and checked finite in one pass (the field is named only when it fails)
+        t.flags.writeable = False
+        a, b, c = t[1:4], t[4:7], t[7:].reshape(3, 3)
+        if not all(map(math.isfinite, t.tolist())):
             for arr, name in ((a, "a"), (b, "b"), (c, "c")):
                 if not all(map(math.isfinite, arr.ravel().tolist())):
                     raise ValueError(f"Fano coefficients {name!r} must be finite, got {arr.tolist()}")
-        for arr, name in ((a, "a"), (b, "b"), (c, "c")):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_vector", t)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def _from_vector(cls, t: np.ndarray) -> FanoCoefficients:
+        # the coefficients stored in t = [1, a, b, vec c], a fresh float (16,) array, uncopied
+        f = object.__new__(cls)
+        f._adopt(t)
+        return f
+
+    def __reduce__(self):
+        # copies and pickles are built anew, so their fields stay read-only views of their vector
+        return type(self), (self.a, self.b, self.c)
 
 
 def pair_index(i: int, j: int) -> int:
@@ -70,10 +103,15 @@ def _pauli_products() -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=None)
+def _pauli_rows() -> np.ndarray:
+    # the Pauli products as real (15, 32) rows: row k times rho's real row is Tr[P_k rho]
+    return _real_rows(_pauli_products())
+
+
 def fano_matrix(f: FanoCoefficients) -> np.ndarray:
     """Compose the 4x4 matrix; defined for any coefficients, physical or not."""
-    coeffs = np.concatenate([f.a, f.b, f.c.reshape(-1)])
-    return (np.eye(4, dtype=complex) + np.einsum("k,kij->ij", coeffs, _pauli_products())) / 4.0
+    return (np.eye(4, dtype=complex) + np.einsum("k,kij->ij", f._vector[1:], _pauli_products())) / 4.0
 
 
 def fano_compose(f: FanoCoefficients, tol: float | None = None) -> DensityMatrix:
@@ -87,12 +125,18 @@ def fano_compose(f: FanoCoefficients, tol: float | None = None) -> DensityMatrix
 
 
 def fano_extract(rho) -> FanoCoefficients:
-    """The 15 coefficients Tr[P_k rho] of a Hermitian 4x4 matrix, as the Pauli products' real rows times rho's."""
+    """The 15 coefficients Tr[P_k rho] of a Hermitian 4x4 matrix, as the Pauli products' real rows times rho's.
+
+    The product is written straight into the Fano vector t = [1, a, b, vec c]
+    (t[0] = 1 exactly, whatever the trace), which the result stores uncopied.
+    """
     m = hermitian_matrix(rho)
     if m.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {m.shape[0]}")
-    t = _real_rows(_pauli_products()) @ _real_rows(m)[0]
-    return FanoCoefficients(a=t[:3], b=t[3:6], c=t[6:].reshape(3, 3))
+    t = np.empty(16)
+    t[0] = 1.0
+    np.matmul(_pauli_rows(), _real_rows(m)[0], out=t[1:])
+    return FanoCoefficients._from_vector(t)
 
 
 def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
@@ -130,16 +174,35 @@ def _rep_kernel(rep: str) -> MappingKernel:
     raise ValueError(f"unknown representation tag {rep!r}; expected 'pair' or 'su4'")
 
 
+# the shape of each representation's grid; its 16 cells are the first rows of a stacked map
+_GRID_SHAPE = {"pair": (2, 2, 2, 2), "su4": (4, 4)}
+# the rows of a stacked map below its grid: row sums over the second and over the first grid axis
+_FIRST, _SECOND = slice(16, 20), slice(20, 24)
+
+
+def _stacked_map(rep: str, basis) -> np.ndarray:
+    # the (24, k) map of the grid rows of _coefficient_map, then two blocks of row sums over the
+    # grid viewed as (4, 4) cells: for "pair" the half-sums over qubit 2's and over qubit 1's
+    # indices; for "su4" the mu-marginal (1/2) sum_nu W and the nu column sums (1/4) sum_mu W
+    grid = _coefficient_map(_rep_kernel(rep), basis)
+    cells = grid.reshape(4, 4, -1)
+    table = np.concatenate(
+        [grid, cells.sum(axis=1) / 2.0, cells.sum(axis=0) / (2.0 if rep == "pair" else 4.0)]
+    )
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=None)
 def _fano_map(rep: str) -> np.ndarray:
-    # column k: the grid of basis matrix B_k in fano_matrix(f) = sum_k t_k B_k, t = [1, a, b, vec c]
+    # column k: the grid and row sums of basis matrix B_k in fano_matrix(f) = sum_k t_k B_k,
+    # t = [1, a, b, vec c]
     basis = np.concatenate([np.eye(4, dtype=complex)[None], _pauli_products()]) / 4.0
-    return _coefficient_map(_rep_kernel(rep), basis)
+    return _stacked_map(rep, basis)
 
 
 def _fano_grid(f: FanoCoefficients, rep: str) -> np.ndarray:
-    t = np.concatenate(([1.0], f.a, f.b, f.c.ravel()))
-    return (_fano_map(rep) @ t).reshape(_rep_kernel(rep).ops.shape[:-2])
+    return (_fano_map(rep) @ f._vector)[:16].reshape(_GRID_SHAPE[rep])
 
 
 def wigner_pair(f: FanoCoefficients) -> np.ndarray:
@@ -147,11 +210,11 @@ def wigner_pair(f: FanoCoefficients) -> np.ndarray:
 
     Equals ``wigner_grid`` of ``fano_matrix(f)`` over ``pair_kernel()``, for
     physical and unphysical coefficients alike, but is computed in
-    coefficient form: the grid is affine in the Fano vector
-    t = [1, a, b, vec c], so it is one real (16, 16) matrix, built from
-    ``pair_kernel()`` on first use and cached, times t.  No matrix is
-    composed, and no Hermiticity guard runs: ``FanoCoefficients`` has
-    already refused non-finite fields.
+    coefficient form: the grid is affine in the stored Fano vector
+    t = [1, a, b, vec c], so it is the grid rows of the real (24, 16) map
+    ``_fano_map("pair")``, built from ``pair_kernel()`` on first use and
+    cached, times t.  No matrix is composed, and no Hermiticity guard runs:
+    ``FanoCoefficients`` has already refused non-finite fields.
     """
     return _fano_grid(f, "pair")
 
@@ -165,31 +228,34 @@ def wigner_pair_from_matrix(rho) -> np.ndarray:
     return wigner_grid(rho, pair_kernel())
 
 
-def _half_sum(pair_grid: np.ndarray, which: int) -> np.ndarray:
-    """Half-sum of a pair grid over the other qubit's indices."""
+def _half_rows(which: int) -> slice:
+    """The rows of a stacked pair map that hold the half-sum over the other qubit's indices."""
     if which == 1:
-        return pair_grid.sum(axis=(2, 3)) / 2.0
+        return _FIRST
     if which == 2:
-        return pair_grid.sum(axis=(0, 1)) / 2.0
+        return _SECOND
     raise ValueError(f"qubit selector must be 1 or 2, got {which}")
 
 
 def reduced_wigner(f: FanoCoefficients, which: int) -> np.ndarray:
     """2x2 phase-space grid of one qubit's reduction.
 
-    Equals the half-sum of the pair grid over the other qubit's indices.
+    Equals the half-sum of the pair grid over the other qubit's indices:
+    the half-sum rows of ``_fano_map("pair")`` times the Fano vector.
     """
-    return _half_sum(wigner_pair(f), which)
+    return (_fano_map("pair") @ f._vector)[_half_rows(which)].reshape(2, 2)
 
 
 def delta_pair(f: FanoCoefficients) -> np.ndarray:
     """Correlation signature: pair grid minus the product of reductions.
 
     Identically zero exactly when the correlations factorize,
-    c_ij = a_i b_j.
+    c_ij = a_i b_j.  One product of the stacked (24, 16) map
+    ``_fano_map("pair")`` with the stored Fano vector gives the grid and
+    both half-sums; the signature is the grid minus their outer product.
     """
-    w = wigner_pair(f)
-    return w - np.multiply.outer(_half_sum(w, 1), _half_sum(w, 2))
+    v = _fano_map("pair") @ f._vector
+    return (v[:16].reshape(4, 4) - v[_FIRST, None] * v[_SECOND]).reshape(2, 2, 2, 2)
 
 
 @lru_cache(maxsize=None)
@@ -204,10 +270,11 @@ def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
     """Coefficients of the same state over the 15 dimension-4 generators.
 
     The composed matrix equals (I + sum_i coeffs[i] g_i) / 4; each
-    coefficient is twice the corresponding generator mean value: the Fano
-    vector [a, b, vec c] times the cached (15, 15) map Tr[g_i P_k] / 2.
+    coefficient is twice the corresponding generator mean value: the cached
+    (15, 15) map Tr[g_i P_k] / 2 times [a, b, vec c], the stored Fano
+    vector after its leading 1.
     """
-    return _su4_basis_map() @ np.concatenate([f.a, f.b, f.c.ravel()])
+    return _su4_basis_map() @ f._vector[1:]
 
 
 def density_from_su4_coefficients(coeffs) -> np.ndarray:

@@ -335,6 +335,34 @@ def test_x_pattern_check_honours_tolerance_environment(command, matrix_file, cap
     assert out == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["delta", "--rep", "xstate"], ["marginals"]])
+@pytest.mark.parametrize(
+    "populations, coherence",
+    [((0.4, 0.1, 0.1, 0.4 + 2e-6), (0, 3)), ((0.5, 0.3, 0.2 + 2e-6, -2e-6), (1, 2))],
+    ids=["trace 1 + 2e-6", "population -2e-6"],
+)
+def test_x_state_population_checks_honour_tolerance_environment(
+    command, populations, coherence, matrix_file, capsys, monkeypatch
+):
+    # valid density matrices at 1e-5, and X-form: wigner maps them, so delta --rep xstate and
+    # marginals must read them as X states rather than refuse their populations
+    x_form = np.diag(populations).astype(complex)
+    x_form[coherence] = x_form[coherence[::-1]] = 0.1
+    path = matrix_file("x.json", x_form)
+    argv = [command[0], "--input", path, *command[1:]]
+    assert main(argv) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("DWIGNER_TOLERANCE", "1e-5")
+    assert main(["wigner", "--input", path]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == ["marginals"]:
+        # the mu-marginal is twice the populations
+        np.testing.assert_allclose(json.loads(captured.out)["mu"], 2 * np.array(populations), atol=1e-12)
+
+
 def test_validate_inequalities_honour_tolerance_environment(matrix_file, capsys, monkeypatch):
     # an eigenvalue of -2e-6: valid at 1e-5, where every trace-moment inequality must hold too
     path = matrix_file("neg.json", np.diag([1 / 3, 1 / 3, 1 / 3 + 2e-6, -2e-6]))

@@ -89,6 +89,27 @@ def test_unknown_name_raises_attribute_error():
         dwigner.nosuch
 
 
+def test_import_leaves_every_cached_map_empty():
+    # every cache the two modules define, the stacked grid maps, the su4 change of basis and the
+    # Pauli rows among them, is filled on first use
+    code = (
+        "import json, dwigner\n"
+        "import dwigner.states, dwigner.twoqubit\n"
+        "print(json.dumps({f'{m.__name__}.{name}': f.cache_info().currsize\n"
+        "                  for m in (dwigner.twoqubit, dwigner.states)\n"
+        "                  for name, f in vars(m).items()\n"
+        "                  if hasattr(f, 'cache_info') and f.__module__ == m.__name__}))"
+    )
+    sizes = json.loads(_fresh(code))
+    assert {
+        "dwigner.twoqubit._fano_map",
+        "dwigner.twoqubit._pauli_rows",
+        "dwigner.twoqubit._su4_basis_map",
+        "dwigner.states._xstate_map",
+    } <= set(sizes)
+    assert set(sizes.values()) == {0}, sizes
+
+
 @pytest.mark.parametrize(
     "imports",
     [

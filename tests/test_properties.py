@@ -144,7 +144,8 @@ def test_xstate_coefficient_form_is_the_grid_of_the_composed_matrix(x, rep):
 def test_coefficient_maps_are_cached_read_only_real_matrices(coefficient_map, width, rep):
     table = coefficient_map(rep)
     assert table is coefficient_map(rep)
-    assert table.shape == (16, width) and table.dtype == float
+    # 16 grid rows, then two blocks of four fixed-axis row sums
+    assert table.shape == (24, width) and table.dtype == float
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="representation"):
         coefficient_map("su2")
