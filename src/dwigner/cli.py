@@ -7,7 +7,8 @@ protocol simulation), ``fidelity`` (super-fidelity of two matrix files),
 and ``validate`` (density-matrix diagnostics).
 
 Exit codes: 0 on success, 1 on validation/data failure, 2 on usage
-errors.  The environment variable DWIGNER_TOLERANCE overrides the
+errors, a matrix file of the wrong dimension for the representation
+among them.  The environment variable DWIGNER_TOLERANCE overrides the
 default validation tolerance of 1e-10, the tolerance of the trace-moment
 inequalities ``validate`` prints, and the X-pattern tolerance of
 ``delta --rep xstate`` and ``marginals``; it must be finite and >= 0.
@@ -89,16 +90,12 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _load_density(path: str, tol: float):
-    import numpy as np
-
     from .linalg import DensityMatrixError, validate_density
 
-    matrix = _load_matrix(path)
     try:
-        return validate_density(matrix, tol)
+        return validate_density(_load_matrix(path), tol)
     except DensityMatrixError as exc:
-        eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-        detail = ", ".join(repr(float(v)) for v in eigenvalues)
+        detail = ", ".join(repr(float(v)) for v in exc.eigenvalues)
         raise ValueError(f"{path}: {exc}; eigenvalues: [{detail}]") from exc
 
 
@@ -186,18 +183,19 @@ def named_state(name: str) -> np.ndarray:
         raise UsageError(f"invalid state name {name!r}: {exc}") from exc
 
 
-def _grid_for_rep(rho, rep: str) -> np.ndarray:
-    from .linalg import hermitian_matrix
+def _check_dim(n: int, rep: str) -> None:
+    # the one shape check of every command that reads a state in one representation: su2 reads a
+    # 2x2 matrix and su4, pair and xstate a 4x4 one; any other dimension is a usage error
+    dim = 2 if rep == "su2" else 4
+    if n != dim:
+        raise UsageError(f"representation {rep} needs a {dim}x{dim} matrix, got {n}x{n}")
 
-    matrix = hermitian_matrix(rho)
+
+def _grid_for_rep(rho, rep: str) -> np.ndarray:
     if rep == "su2":
-        if matrix.shape[0] != 2:
-            raise UsageError(f"representation su2 needs a 2x2 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
         from .generators import bloch_vector, wigner_su2
 
         return wigner_su2(bloch_vector(rho))
-    if matrix.shape[0] != 4:
-        raise UsageError(f"representation {rep} needs a 4x4 matrix, got {matrix.shape[0]}x{matrix.shape[0]}")
     if rep == "su4":
         from .generators import wigner_su4
 
@@ -211,6 +209,7 @@ def _grid_for_rep(rho, rep: str) -> np.ndarray:
 
 def _cmd_wigner(args) -> int:
     rho = _load_density(args.input, _tolerance())
+    _check_dim(rho.dim, args.rep)
     _write_grid(_grid_for_rep(rho, args.rep), args)
     return EXIT_OK
 
@@ -222,6 +221,7 @@ def _cmd_state(args) -> int:
 
         _write_output(serialize_matrix(matrix) + "\n", args.output)
         return EXIT_OK
+    _check_dim(len(matrix), args.rep)
     _write_grid(_grid_for_rep(matrix, args.rep), args)
     return EXIT_OK
 
@@ -229,6 +229,7 @@ def _cmd_state(args) -> int:
 def _cmd_delta(args) -> int:
     tol = _tolerance()
     rho = _load_density(args.input, tol)
+    _check_dim(rho.dim, args.rep)
     if args.rep == "pair":
         from .twoqubit import delta_pair, fano_extract
 
@@ -244,6 +245,7 @@ def _cmd_delta(args) -> int:
 def _cmd_marginals(args) -> int:
     tol = _tolerance()
     rho = _load_density(args.input, tol)
+    _check_dim(rho.dim, "xstate")
     from .states import xstate_from_matrix, xstate_marginals
 
     marginals = xstate_marginals(xstate_from_matrix(rho, tol))

@@ -220,14 +220,6 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     return (kern._rows @ _real_rows(a)[0]).reshape(kern.ops.shape[:-2])
 
 
-def _coefficient_map(kern: MappingKernel, basis) -> np.ndarray:
-    # entry (p, k) is Re Tr[G†(p) B_k]; a grid is linear in rho over the reals, so for
-    # rho = sum_k t_k B_k with Hermitian B_k and real t_k it is this (cells, k) matrix times t
-    table = kern._rows @ _real_rows(basis).T
-    table.flags.writeable = False
-    return table
-
-
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 

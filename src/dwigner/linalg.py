@@ -65,7 +65,9 @@ class DensityMatrixError(ValueError):
     """Validation failure carrying every violated invariant.
 
     ``violations`` is a list of ``(invariant, magnitude)`` pairs and
-    ``matrix`` keeps the rejected input for inspection.
+    ``matrix`` keeps the rejected input for inspection.  An error raised by
+    ``validate_density`` also carries ``eigenvalues``, the ascending
+    spectrum of the input's Hermitian part that the check computed.
     """
 
     def __init__(self, violations, matrix):
@@ -138,11 +140,14 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     if trace_error > tol:
         violations.append(("unit trace", trace_error))
     hermitian_part = (a + adjoint) / 2.0
-    min_eigenvalue = float(np.linalg.eigvalsh(hermitian_part)[0])
+    eigenvalues = np.linalg.eigvalsh(hermitian_part)
+    min_eigenvalue = float(eigenvalues[0])
     if min_eigenvalue < -tol:
         violations.append(("positive semidefiniteness", -min_eigenvalue))
     if violations:
-        raise DensityMatrixError(violations, a)
+        error = DensityMatrixError(violations, a)
+        error.eigenvalues = eigenvalues
+        raise error
     hermitian_part.flags.writeable = False
     return DensityMatrix(matrix=hermitian_part)
 

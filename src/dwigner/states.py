@@ -7,10 +7,12 @@ marginals and the correlation signature on the 4x4 grid.  Every grid is
 that of ``wigner_grid`` over the pair or the four-level cell-operator
 stack, computed in coefficient form: a cached real map, built from the
 stack on first use, times the family's real parameters.  An ``XState``
-stores its eight real fields as one read-only vector, and
-``_xstate_map(rep)`` stacks the grid rows over the rows of the
-reductions' half-sums ("pair") or of the mu- and nu-marginals ("su4"), so
-every X-state grid, marginal and signature is one product with it.
+stores its eight real fields as one read-only vector t over one X basis,
+``x.matrix() = sum_k t_k B_k``.  ``_xstate_map(rep)`` maps that basis: it
+stacks the grid rows over the rows of the reductions' half-sums ("pair")
+or of the mu- and nu-marginals ("su4"), so every X-state grid, marginal
+and signature is one product with t.  ``xstate_from_matrix`` reads t with
+the same basis, which is orthogonal.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernel import _real_rows
 from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
-from .twoqubit import _FIRST, _GRID_SHAPE, _SECOND, _fano_grid, _half_rows, _stacked_map
+from .twoqubit import _FIRST, _HALVES, _SECOND, _fano_grid, _grid, _qubit, _signature, _stacked_map
 from .twoqubit import FanoCoefficients, fano_matrix, wigner_pair
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -195,18 +198,18 @@ class XState:
         return bool(outer_ok and inner_ok)
 
 
-# row-major cell indices of a 4x4 matrix: rho11, rho22, rho33, rho44, rho14, rho23, rho41,
-# rho32, then the eight cells off the diagonal and antidiagonal, which an X-form matrix leaves zero
-_X_CELLS = np.array([0, 5, 10, 15, 3, 6, 12, 9, 1, 2, 4, 7, 8, 11, 13, 14])
-_X_CELLS.flags.writeable = False
-# a real map of the first eight cells' real view [Re, Im, Re, Im, ...]: the populations' real
-# parts, then rho14 + conj rho41 and rho23 + conj rho32, which halved are the Hermitian part's
-# coherences
-_X_READ = np.zeros((8, 16))
-_X_READ[range(4), range(0, 8, 2)] = 1.0
-_X_READ[range(4, 8), range(8, 12)] = 1.0  # rho14, rho23
-_X_READ[range(4, 8), range(12, 16)] = (1.0, -1.0, 1.0, -1.0)  # conj rho41, conj rho32
-_X_READ.flags.writeable = False
+# the X basis: x.matrix() = sum_k t_k B_k, t = [rho11, rho22, rho33, rho44, Re rho14, Im rho14,
+# Re rho23, Im rho23]; its Hermitian B_k are orthogonal, so t_k = Re Tr[B_k† m] / Tr[B_k^2]
+_X_BASIS = np.zeros((8, 4, 4), dtype=complex)
+_X_BASIS[range(4), range(4), range(4)] = 1.0
+# each coherence's pair of cells (rho14, rho41), then (rho23, rho32): ones for Re, (i, -i) for Im
+_X_BASIS[range(4, 8), [0, 0, 1, 1], [3, 3, 2, 2]] = (1, 1j, 1, 1j)
+_X_BASIS[range(4, 8), [3, 3, 2, 2], [0, 0, 1, 1]] = (1, -1j, 1, -1j)
+# the basis's real rows scaled by 1 / Tr[B_k^2], and the flat indices of the cells no B_k touches
+_X_READ = _real_rows(_X_BASIS) / (np.abs(_X_BASIS) ** 2).sum(axis=(1, 2))[:, None]
+_X_OFF = np.flatnonzero(~_X_BASIS.any(axis=0))
+for _table in (_X_BASIS, _X_READ, _X_OFF):
+    _table.flags.writeable = False
 
 
 def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
@@ -217,33 +220,25 @@ def xstate_from_matrix(m, tol: float = DEFAULT_TOLERANCE) -> XState:
     -max(tol, DEFAULT_TOLERANCE) and their sum within max(tol, 1e-9) of
     one, so a matrix that ``validate_density`` accepts at ``tol`` is read.
     ``hermitian_matrix`` guards Hermiticity.  The coherences are read from
-    the Hermitian part, as every grid is; one ``take`` of the X cells and
-    one real product give the stored vector.
+    the Hermitian part, as every grid is: the stored vector is one real
+    product of the X basis's rows, each scaled by 1 / Tr[B_k^2], with the
+    matrix's, and one ``take`` of the cells no basis matrix touches checks
+    the pattern.
     """
     tol = _checked_tolerance(tol)
     a = hermitian_matrix(m)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
-    cells = a.take(_X_CELLS)
-    leak = float(np.abs(cells[8:]).max())
+    leak = float(np.abs(a.take(_X_OFF)).max())
     if leak > tol:
         raise ValueError(f"matrix is not X-form: off-pattern element of magnitude {leak:.3e}")
-    t = _X_READ @ cells[:8].view(float)
-    t[4:] /= 2.0
-    return XState._from_vector(t, max(tol, DEFAULT_TOLERANCE))
+    return XState._from_vector(_X_READ @ _real_rows(a)[0], max(tol, DEFAULT_TOLERANCE))
 
 
 @lru_cache(maxsize=None)
 def _xstate_map(rep: str) -> np.ndarray:
-    # column k: the grid and row sums of B_k in x.matrix() = sum_k t_k B_k,
-    # t = [rho11, rho22, rho33, rho44, Re rho14, Im rho14, Re rho23, Im rho23]
-    basis = np.zeros((8, 4, 4), dtype=complex)
-    levels = np.arange(4)
-    basis[levels, levels, levels] = 1.0
-    for k, (i, j) in ((4, (0, 3)), (6, (1, 2))):
-        basis[k, i, j] = basis[k, j, i] = 1.0
-        basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
-    return _stacked_map(rep, basis)
+    # column k: the grid and row sums of B_k of the X basis
+    return _stacked_map(rep, _X_BASIS)
 
 
 def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
@@ -257,7 +252,7 @@ def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
     use and cached, times t.  No matrix is composed, and no Hermiticity
     guard runs: ``XState`` has already refused non-finite fields.
     """
-    return (_xstate_map(rep) @ x._vector)[:16].reshape(_GRID_SHAPE[rep])
+    return _grid(_xstate_map(rep).dot(x._vector), rep)
 
 
 def xstate_reduced_wigner(x: XState, which: int) -> np.ndarray:
@@ -265,7 +260,7 @@ def xstate_reduced_wigner(x: XState, which: int) -> np.ndarray:
 
     It is the half-sum rows of ``_xstate_map("pair")`` times the stored vector.
     """
-    return (_xstate_map("pair") @ x._vector)[_half_rows(which)].reshape(2, 2)
+    return _xstate_map("pair").dot(x._vector)[_HALVES[_qubit(which)]].reshape(2, 2)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -274,20 +269,13 @@ class MarginalPair:
 
     ``mu_marginal`` is the half-sum (1/2) sum_nu W(mu, nu) = 2 rho[mu, mu]
     and carries only the populations.  ``nu_marginal`` is
-    1/4 + (1/4) sum_mu W(mu, nu) and carries only the antidiagonal
-    coherences.  Each half-sums to one.
+    (Tr rho + sum_mu W(mu, nu)) / 4, which is 1/4 + (1/4) sum_mu W(mu, nu)
+    at unit trace, and carries only the trace and the antidiagonal
+    coherences.  Each half-sums to Tr rho, the sum of the populations.
     """
 
     mu_marginal: np.ndarray
     nu_marginal: np.ndarray
-
-
-def _su4_rows(x: XState) -> np.ndarray:
-    # the 4x4 grid, the mu-marginal and the nu-marginal, stacked: _xstate_map("su4") times t, plus
-    # the nu-marginal's constant 1/4
-    v = _xstate_map("su4") @ x._vector
-    v[_SECOND] += 0.25
-    return v
 
 
 def xstate_marginals(x: XState) -> MarginalPair:
@@ -296,7 +284,7 @@ def xstate_marginals(x: XState) -> MarginalPair:
     Both are rows of one product of the stacked (24, 8) map
     ``_xstate_map("su4")`` with the stored vector; they are read-only.
     """
-    v = _su4_rows(x)
+    v = _xstate_map("su4").dot(x._vector)
     v.flags.writeable = False
     return MarginalPair(mu_marginal=v[_FIRST], nu_marginal=v[_SECOND])
 
@@ -308,8 +296,7 @@ def xstate_delta(x: XState) -> np.ndarray:
     stored vector gives W and both marginals; the signature is W minus
     their outer product.
     """
-    v = _su4_rows(x)
-    return v[:16].reshape(4, 4) - v[_FIRST, None] * v[_SECOND]
+    return _signature(_xstate_map("su4").dot(x._vector), "su4")
 
 
 def munro(gamma: float) -> XState:

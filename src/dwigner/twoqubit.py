@@ -8,9 +8,11 @@ the change of basis into the four-level generator description.
 A ``FanoCoefficients`` holds one read-only Fano vector t = [1, a, b, vec c].
 Every quantity read from it is affine in rho, so it is a cached real map
 times t: ``_fano_map(rep)`` stacks the 16 grid rows of ``pair_kernel()`` or
-``su4_kernel()`` over two blocks of fixed-axis row sums (the two half-sums
-for the pair grid, the mu- and nu-marginal rows for the 4x4 grid), and
-``_su4_basis_map()`` gives the generator coefficients.
+``su4_kernel()`` over two blocks of four rows (the two half-sums for the
+pair grid, the mu-marginal and the nu-marginal itself for the 4x4 grid),
+which ``_grid`` and ``_signature`` read for the Fano and the X-state
+functions alike, and ``_su4_basis_map()`` gives the generator
+coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .generators import density_from_bloch, generators, su4_kernel
-from .kernel import MappingKernel, _coefficient_map, _real_rows, kernel, wigner_grid
+from .kernel import MappingKernel, _real_rows, kernel, wigner_grid
 from .linalg import DensityMatrix, hermitian_matrix, validate_density
 
 
@@ -141,14 +143,15 @@ def fano_extract(rho) -> FanoCoefficients:
 
 def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
     """Partial trace onto qubit 1 or 2: (I + polarization . sigma) / 2."""
-    return density_from_bloch(_polarization(f, which), 2)
+    return density_from_bloch((f.a, f.b)[_qubit(which)], 2)
 
 
-def _polarization(f: FanoCoefficients, which: int) -> np.ndarray:
+def _qubit(which: int) -> int:
+    # the qubit selector 1 or 2 as the index 0 or 1 of its polarization and of its half-sum rows
     if which == 1:
-        return f.a
+        return 0
     if which == 2:
-        return f.b
+        return 1
     raise ValueError(f"qubit selector must be 1 or 2, got {which}")
 
 
@@ -176,21 +179,36 @@ def _rep_kernel(rep: str) -> MappingKernel:
 
 # the shape of each representation's grid; its 16 cells are the first rows of a stacked map
 _GRID_SHAPE = {"pair": (2, 2, 2, 2), "su4": (4, 4)}
-# the rows of a stacked map below its grid: row sums over the second and over the first grid axis
-_FIRST, _SECOND = slice(16, 20), slice(20, 24)
+# the two blocks of four rows of a stacked map below its grid (see _stacked_map); a state's product
+# with a map is m.dot(t), the same bits as m @ t without the matmul ufunc's per-call dispatch cost
+_HALVES = _FIRST, _SECOND = slice(16, 20), slice(20, 24)
 
 
 def _stacked_map(rep: str, basis) -> np.ndarray:
-    # the (24, k) map of the grid rows of _coefficient_map, then two blocks of row sums over the
-    # grid viewed as (4, 4) cells: for "pair" the half-sums over qubit 2's and over qubit 1's
-    # indices; for "su4" the mu-marginal (1/2) sum_nu W and the nu column sums (1/4) sum_mu W
-    grid = _coefficient_map(_rep_kernel(rep), basis)
+    # the (24, k) map of the Hermitian B_k in rho = sum_k t_k B_k, t real: 16 grid rows Re Tr[G†(p) B_k],
+    # then two blocks of row sums over the grid viewed as (4, 4) cells: for "pair" the half-sums over
+    # qubit 2's and over qubit 1's indices; for "su4" the mu-marginal (1/2) sum_nu W and the
+    # nu-marginal (Tr rho + sum_mu W) / 4, whose constant 1/4 is the term Tr rho / 4, linear in rho
+    grid = _rep_kernel(rep)._rows @ _real_rows(basis).T
     cells = grid.reshape(4, 4, -1)
-    table = np.concatenate(
-        [grid, cells.sum(axis=1) / 2.0, cells.sum(axis=0) / (2.0 if rep == "pair" else 4.0)]
-    )
+    if rep == "pair":
+        second = cells.sum(axis=0) / 2.0
+    else:
+        second = (cells.sum(axis=0) + np.trace(basis, axis1=1, axis2=2).real) / 4.0
+    table = np.concatenate([grid, cells.sum(axis=1) / 2.0, second])
     table.flags.writeable = False
     return table
+
+
+def _grid(v: np.ndarray, rep: str) -> np.ndarray:
+    # the grid of a stacked map's product v with a state vector
+    return v[:16].reshape(_GRID_SHAPE[rep])
+
+
+def _signature(v: np.ndarray, rep: str) -> np.ndarray:
+    # the grid of a stacked product v minus the outer product of its two row blocks: the reductions'
+    # grids for "pair", the mu- and nu-marginals for "su4"
+    return (v[:16].reshape(4, 4) - v[_FIRST, None] * v[_SECOND]).reshape(_GRID_SHAPE[rep])
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +220,7 @@ def _fano_map(rep: str) -> np.ndarray:
 
 
 def _fano_grid(f: FanoCoefficients, rep: str) -> np.ndarray:
-    return (_fano_map(rep) @ f._vector)[:16].reshape(_GRID_SHAPE[rep])
+    return _grid(_fano_map(rep).dot(f._vector), rep)
 
 
 def wigner_pair(f: FanoCoefficients) -> np.ndarray:
@@ -228,22 +246,13 @@ def wigner_pair_from_matrix(rho) -> np.ndarray:
     return wigner_grid(rho, pair_kernel())
 
 
-def _half_rows(which: int) -> slice:
-    """The rows of a stacked pair map that hold the half-sum over the other qubit's indices."""
-    if which == 1:
-        return _FIRST
-    if which == 2:
-        return _SECOND
-    raise ValueError(f"qubit selector must be 1 or 2, got {which}")
-
-
 def reduced_wigner(f: FanoCoefficients, which: int) -> np.ndarray:
     """2x2 phase-space grid of one qubit's reduction.
 
     Equals the half-sum of the pair grid over the other qubit's indices:
     the half-sum rows of ``_fano_map("pair")`` times the Fano vector.
     """
-    return (_fano_map("pair") @ f._vector)[_half_rows(which)].reshape(2, 2)
+    return _fano_map("pair").dot(f._vector)[_HALVES[_qubit(which)]].reshape(2, 2)
 
 
 def delta_pair(f: FanoCoefficients) -> np.ndarray:
@@ -254,8 +263,7 @@ def delta_pair(f: FanoCoefficients) -> np.ndarray:
     ``_fano_map("pair")`` with the stored Fano vector gives the grid and
     both half-sums; the signature is the grid minus their outer product.
     """
-    v = _fano_map("pair") @ f._vector
-    return (v[:16].reshape(4, 4) - v[_FIRST, None] * v[_SECOND]).reshape(2, 2, 2, 2)
+    return _signature(_fano_map("pair").dot(f._vector), "pair")
 
 
 @lru_cache(maxsize=None)

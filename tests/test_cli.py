@@ -371,3 +371,43 @@ def test_validate_inequalities_honour_tolerance_environment(matrix_file, capsys,
     out = capsys.readouterr().out
     assert out.count(": pass\n") == 3 and "fail" not in out
     assert out.endswith("verdict: valid density matrix\n")
+
+
+@pytest.mark.parametrize(
+    "argv, dim, needed",
+    [
+        (["wigner", "--rep", "su4"], 2, 4),
+        (["wigner", "--rep", "pair"], 2, 4),
+        (["delta", "--rep", "pair"], 2, 4),
+        (["delta", "--rep", "xstate"], 2, 4),
+        (["marginals"], 2, 4),
+        (["wigner", "--rep", "su2"], 4, 2),
+    ],
+)
+def test_a_matrix_file_of_the_wrong_dimension_is_a_usage_error(argv, dim, needed, matrix_file, capsys):
+    # every command that reads a state in one representation refuses the other dimension alike
+    path = matrix_file("m.json", np.eye(dim) / dim)
+    assert main([argv[0], "--input", path, *argv[1:]]) == 2
+    rep = argv[-1] if argv[0] != "marginals" else "xstate"
+    assert capsys.readouterr().err == (
+        f"error: representation {rep} needs a {needed}x{needed} matrix, got {dim}x{dim}\n"
+    )
+    assert main(["--json-errors", argv[0], "--input", path, *argv[1:]]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+
+
+def test_a_named_state_outside_su2_is_a_usage_error(capsys):
+    assert main(["state", "--name", "bell:phi+", "--emit", "wigner", "--rep", "su2"]) == 2
+    assert capsys.readouterr().err == "error: representation su2 needs a 2x2 matrix, got 4x4\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["wigner", "--rep", "su4"], ["delta", "--rep", "pair"], ["delta", "--rep", "xstate"], ["marginals"]]
+)
+def test_a_refused_matrix_reports_the_spectrum_of_its_hermitian_part(argv, matrix_file, capsys):
+    path = matrix_file("bad.json", np.diag([1.1, -0.1, 0.0, 0.0]))
+    assert main([argv[0], "--input", path, *argv[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a density matrix: positive semidefiniteness violated by 1.000000e-01; "
+        "eigenvalues: [-0.1, 0.0, 0.0, 1.1]\n"
+    )

@@ -26,6 +26,7 @@ from dwigner import (
     fano_matrix,
     generators,
     munro,
+    reduced_density,
     reduced_wigner,
     su4_coefficients,
     validate_density,
@@ -38,7 +39,7 @@ from dwigner import (
     xstate_wigner,
 )
 from dwigner.generators import su4_kernel
-from dwigner.twoqubit import _fano_grid, _pauli_products, pair_kernel
+from dwigner.twoqubit import _fano_grid, _fano_map, _pauli_products, pair_kernel
 from helpers import random_density
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -241,3 +242,34 @@ def test_repr_equality_and_fields_are_unchanged():
         ("rho23", "complex", 0.0),
     ]
     assert dataclasses.replace(read, rho14=0.1) == XState(0.4, 0.1, 0.1, 0.4, 0.1)
+
+
+@SETTINGS
+@given(fano_vectors)
+def test_fano_su4_rows_below_the_grid_are_the_marginals(t):
+    # the nu rows hold the nu-marginal itself: the constant 1/4 is the term Tr rho / 4 of the map
+    f = FanoCoefficients(a=t[:3], b=t[3:6], c=t[6:].reshape(3, 3))
+    mu, nu = _marginals(wigner_grid(fano_matrix(f), su4_kernel()))
+    v = _fano_map("su4") @ f._vector
+    _close(v[16:20], mu)
+    _close(v[20:24], nu)
+
+
+@pytest.mark.parametrize(
+    "select, state",
+    [
+        (reduced_density, lambda: fano_extract(np.eye(4) / 4)),
+        (reduced_wigner, lambda: fano_extract(np.eye(4) / 4)),
+        (xstate_reduced_wigner, lambda: munro(0.8)),
+    ],
+)
+@pytest.mark.parametrize("which", [0, 3, 1.5])
+def test_a_qubit_selector_other_than_1_or_2_is_refused(select, state, which):
+    with pytest.raises(ValueError, match=f"qubit selector must be 1 or 2, got {which}"):
+        select(state(), which)
+
+
+@pytest.mark.parametrize("read", [fano_extract, xstate_from_matrix])
+def test_the_four_level_readers_refuse_a_2x2_matrix(read):
+    with pytest.raises(ValueError, match="dimension must be 4, got 2"):
+        read(np.eye(2) / 2)
