@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from functools import lru_cache
 from operator import itemgetter
 
@@ -21,7 +22,8 @@ from .kernel import _check_grid
 GRID_FORMATS = ("csv", "json", "gnuplot")
 
 _NUMBER_TYPES = {int, float}  # a JSON number; bool is its own type
-_INDEX_FIELDS = itemgetter(slice(None, -1))
+# the text around each value of emit_grid's rows: the separator before it and the end of its row
+_SLOT_CONTEXT = {"csv": (",", "\n"), "json": (", ", "]"), "gnuplot": (" ", "\n")}
 
 
 def serialize_matrix(m) -> str:
@@ -165,30 +167,34 @@ def _grid_value(value, as_text: bool) -> float:
     raise ValueError(f"grid value {value!r} is not a finite number")
 
 
+@lru_cache(maxsize=None)
+def _value_slot(fmt: str) -> re.Pattern:
+    # a value with its context, compiled on first use: a JSON number with a fraction or an
+    # exponent, the form float.__repr__ gives every finite float, which json reads with float too
+    before, after = _SLOT_CONTEXT[fmt]
+    number = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+    return re.compile(re.escape(before) + number + re.escape(after))
+
+
 @lru_cache(maxsize=16)
-def _index_fields(shape: tuple[int, ...], as_text: bool) -> list[list]:
-    # the index fields of every row emit_grid writes, in its order: digit strings or JSON integers
-    convert = str if as_text else int
-    return [list(map(convert, index)) for index in itertools.product(*map(range, shape))]
+def _index_fields(shape: tuple[int, ...], fmt: str) -> list[str]:
+    # emit_grid's text for the shape cut at its value slots: the header and every row's index fields
+    before, after = _SLOT_CONTEXT[fmt]
+    return _grid_template(shape, fmt).split(before + "%r" + after)
 
 
-def _emitted_values(rows, shape: tuple[int, ...], as_text: bool) -> list[float] | None:
-    # the values of rows whose index fields are exactly those emit_grid writes for the shape,
-    # which meet every index rule; None for any other file, or a value that breaks the value rule
-    indices = list(map(_INDEX_FIELDS, rows))
-    if indices != _index_fields(shape, as_text):
-        return None
-    # True == 1 and 0.0 == 0, so a JSON index must also be an int
-    if not as_text and set(map(type, itertools.chain.from_iterable(indices))) != {int}:
-        return None
-    values = list(map(itemgetter(-1), rows))
-    if not as_text and not set(map(type, values)) <= _NUMBER_TYPES:
-        return None
-    try:
-        numbers = list(map(float, values))
-    except (ValueError, OverflowError):
-        return None
-    return numbers if all(map(math.isfinite, numbers)) else None
+def _emitted_grid(text: str, fmt: str) -> np.ndarray | None:
+    # the grid of a text that is emit_grid's for its shape, cut at its values in one C-level pass
+    # and compared with the cached pieces: such a text meets every rule of the row walk, which
+    # reads it to the same floats; None for any other text, or a value that overflows
+    parts = _value_slot(fmt).split(text)
+    fields, values = parts[::2], parts[1::2]
+    n = math.isqrt(len(values))
+    for shape in ((n, n), (2, 2, 2, 2)):
+        if values and math.prod(shape) == len(values) and fields == _index_fields(shape, fmt):
+            numbers = list(map(float, values))
+            return np.array(numbers).reshape(shape) if all(map(math.isfinite, numbers)) else None
+    return None
 
 
 def _rows_to_grid(rows: list, as_text: bool) -> np.ndarray:
@@ -208,10 +214,6 @@ def _rows_to_grid(rows: list, as_text: bool) -> np.ndarray:
         shape = (2, 2, 2, 2)
     else:
         raise ValueError(f"grid rows must have 3 or 5 columns, got {width}")
-    values = _emitted_values(rows, shape, as_text)
-    if values is not None:
-        return np.array(values).reshape(shape)
-    # any other layout, or a malformed file: walk the rows, which names the first fault
     grid = np.empty(shape)
     seen = set()
     for row in rows:
@@ -238,15 +240,25 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
     ASCII digits in CSV and gnuplot, a JSON integer in JSON.  Every value
     must be a finite number: text that ``float`` reads in CSV and gnuplot,
     a JSON number that is not a bool in JSON (a JSON string is refused).
-    A file whose index fields are exactly those ``emit_grid`` writes needs
-    only the value rule; a file in another layout (rows in another order,
-    padded fields) is read row by row under every rule, and so is a
-    malformed one, whose first fault is named in the ``ValueError``.  The
-    first line of a CSV file must be the header ``emit_grid`` writes for
-    the width of its rows (``mu,nu,w`` or ``mu1,nu1,mu2,nu2,w``).
+    A file that is exactly ``emit_grid``'s text for its shape, with a JSON
+    number with a fraction or an exponent in each value slot, is cut at
+    those slots by one regular-expression split and compared with the
+    template's pieces, cached per shape and format; it meets every rule,
+    so only its values' finiteness is checked.  Any other file (rows in
+    another order, padded fields, CRLF line ends) is read row by row under
+    every rule, and so is a malformed one, whose first fault is named in
+    the ``ValueError``.  The first line of a CSV file must be the header
+    ``emit_grid`` writes for the width of its rows (``mu,nu,w`` or
+    ``mu1,nu1,mu2,nu2,w``).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    if fmt not in GRID_FORMATS:
+        raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
+    grid = _emitted_grid(text, fmt)
+    if grid is not None:
+        return grid
+    # any other layout, or a malformed file: walk the rows, which names the first fault
     if fmt == "csv":
         lines = list(filter(str.strip, text.splitlines()))
         if not lines:
@@ -267,6 +279,4 @@ def parse_grid(text, fmt: str = "csv") -> np.ndarray:
         if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
             raise ValueError("grid file must be a JSON object with a 'rows' list")
         return _rows_to_grid(doc["rows"], as_text=False)
-    if fmt == "gnuplot":
-        return _rows_to_grid(list(map(str.split, filter(str.strip, text.splitlines()))), as_text=True)
-    raise ValueError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
+    return _rows_to_grid(list(map(str.split, filter(str.strip, text.splitlines()))), as_text=True)

@@ -76,6 +76,10 @@ class DensityMatrixError(ValueError):
         detail = "; ".join(f"{name} violated by {mag:.6e}" for name, mag in self.violations)
         super().__init__(f"not a density matrix: {detail}")
 
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy or an unpickled error keeps them, eigenvalues included
+        return type(self), (self.violations, self.matrix), self.__dict__
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -94,6 +98,14 @@ class DensityMatrix:
             raise ValueError(f"a DensityMatrix holds a square matrix, got shape {np.shape(m)}")
         if not (m == m.conj().T).all():
             raise ValueError("a DensityMatrix holds an exactly Hermitian matrix; build one with validate_density")
+
+    @classmethod
+    def _from_hermitian(cls, m: np.ndarray) -> DensityMatrix:
+        # m is a finite (a + a†)/2 of a square a, exactly Hermitian as floating-point addition
+        # commutes and the diagonal's imaginary parts cancel to 0, so it is not compared again
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -125,9 +137,12 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
 
     Raises DensityMatrixError listing every violated invariant together
     with its measured magnitude.  Stores the Hermitian part (a + a†)/2,
-    which is ``a`` bit for bit when ``a`` is exactly Hermitian.  A
-    tolerance that is negative or not finite raises ``ValueError``: NaN
-    and infinity would pass every check.
+    which is ``a`` bit for bit when ``a`` is exactly Hermitian, and is
+    exactly Hermitian whenever it is finite, so the result is built once,
+    without the exact comparison a public ``DensityMatrix(matrix=...)``
+    makes.  A part that overflows has NaN eigenvalues and is refused as
+    not positive semidefinite.  A tolerance that is negative or not finite
+    raises ``ValueError``: NaN and infinity would pass every check.
     """
     tol = _checked_tolerance(tol)
     a = as_matrix(m)
@@ -136,20 +151,21 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     defect = float(np.abs(a - adjoint).max())
     if defect > tol:
         violations.append(("hermiticity", defect))
-    trace_error = abs(complex(np.trace(a)) - 1.0)
+    trace_error = float(abs(a.trace() - 1.0))
     if trace_error > tol:
         violations.append(("unit trace", trace_error))
     hermitian_part = (a + adjoint) / 2.0
     eigenvalues = np.linalg.eigvalsh(hermitian_part)
     min_eigenvalue = float(eigenvalues[0])
-    if min_eigenvalue < -tol:
+    # a Hermitian part that overflowed has NaN eigenvalues (or eigvalsh raises), refused here too
+    if not min_eigenvalue >= -tol:
         violations.append(("positive semidefiniteness", -min_eigenvalue))
     if violations:
         error = DensityMatrixError(violations, a)
         error.eigenvalues = eigenvalues
         raise error
     hermitian_part.flags.writeable = False
-    return DensityMatrix(matrix=hermitian_part)
+    return DensityMatrix._from_hermitian(hermitian_part)
 
 
 def purity(rho) -> float:

@@ -85,7 +85,11 @@ def _werner_fano(fraction: float) -> FanoCoefficients:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"mixing fraction must lie in [0, 1], got {fraction}")
     q = (1.0 - 4.0 * fraction) / 3.0
-    return FanoCoefficients(a=np.zeros(3), b=np.zeros(3), c=q * np.eye(3))
+    # t = [1, a = 0, b = 0, vec(q I)]; q times the flat identity keeps the sign of q on its zeros
+    t = np.zeros(16)
+    t[0] = 1.0
+    t[7:] = q * np.eye(3).ravel()
+    return FanoCoefficients._from_vector(t)
 
 
 def werner(fraction: float) -> np.ndarray:
