@@ -94,13 +94,15 @@ class PhasePointFactors:
 
     ``dft[a, b] = w^(ab)`` and ``dft_h`` is its conjugate; ``spectrum = dft conj(c) / n``,
     the conjugate of F† c / n, diagonalizes the cyclic correlation in j of the closed form
-    (see ``kernel``); ``gather[j, xi] = j n + (j + xi) mod n`` is the flat index of
-    rho[j, (j + xi) mod n].
+    (see ``kernel``); ``adjoint = conj(spectrum) / n`` is the same diagonal for
+    ``reconstruct``, its conjugate and the 1/n of the inverse taken once, at build time;
+    ``gather[j, xi] = j n + (j + xi) mod n`` is the flat index of rho[j, (j + xi) mod n].
     """
 
     dft: np.ndarray
     dft_h: np.ndarray
     spectrum: np.ndarray
+    adjoint: np.ndarray
     gather: np.ndarray
 
 
@@ -148,10 +150,20 @@ def _real_rows(stack) -> np.ndarray:
     return s.reshape(-1, s.shape[-1] ** 2).view(float)
 
 
+def _hermitizing_phases(n: int) -> np.ndarray:
+    # hermitizing_phase(eta, xi, n) over the window, from index parity and zeros: for odd n,
+    # -1 where eta and xi are both odd; for even n, i where both are nonzero and eta + xi is odd
+    idx = np.arange(n)
+    products = np.outer(idx, idx)
+    if n % 2 == 1:
+        return np.where(products % 2 == 1, -1.0, 1.0)
+    return np.where((products != 0) & ((idx[:, None] + idx) % 2 == 1), 1j, 1.0)
+
+
 def _cell_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     # the DFT matrix w^(ab) and c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m)
     idx = np.arange(n)
-    h = np.array([[hermitizing_phase(eta, xi, n) for xi in range(n)] for eta in range(n)])
+    h = _hermitizing_phases(n)
     products = np.outer(idx, idx)
     half = np.exp(1j * np.pi * (products % (2 * n)) / n)  # w^(eta xi / 2)
     dft = np.exp(2j * np.pi * (products % n) / n)  # w^(m eta)
@@ -186,8 +198,9 @@ def kernel(n: int) -> MappingKernel:
         raise ValueError(f"dimension must be at least 2, got {n}")
     dft, c = _cell_coefficients(n)
     dft_h = dft.conj()
+    spectrum = dft @ c.conj() / n
     idx = np.arange(n)
-    tables = (dft, dft_h, dft @ c.conj() / n, idx[:, None] * n + (idx[:, None] + idx[None, :]) % n)
+    tables = (dft, dft_h, spectrum, spectrum.conj() / n, idx[:, None] * n + (idx[:, None] + idx[None, :]) % n)
     for table in tables:
         table.flags.writeable = False
     return MappingKernel(dim=n, factors=PhasePointFactors(*tables))
@@ -229,7 +242,9 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory: one DFT
     product along nu, the cyclic convolution in mu with c through two DFT
     products and the cached spectrum, and a scatter of each R[j, xi] back
-    to rho[j, (j + xi) mod n].
+    to rho[j, (j + xi) mod n].  The steps are taken conjugated, so the
+    conjugate and the 1/n of the sum come from the cached ``adjoint``
+    diagonal, with no pass of their own over the result.
     """
     w = np.asarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -244,8 +259,8 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ValueError("grid values must be finite")
     n = kern.dim
-    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi), as the conjugate
-    r = (f.dft_h @ (f.spectrum * (f.dft @ w @ f.dft))).conj() / n
+    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi)
+    r = f.dft @ (f.adjoint * (f.dft_h @ w @ f.dft_h))
     rho = np.empty((n, n), dtype=complex)
     rho.put(f.gather, r)
     return rho
@@ -265,15 +280,17 @@ def grid_overlap(wa, wb) -> float:
 
     Works for both single grids (n x n) and pair grids (2 x 2 x 2 x 2),
     and rejects any other shape; the normalization is 1/sqrt(number of
-    cells).  A NaN or infinite grid value, or an overlap too large for a
-    float, raises ``ValueError``.
+    cells).  The sum of products is one ``vdot``, with no temporary
+    product grid; a grid in any memory order (a transposed or strided
+    view) pairs its values by index.  A NaN or infinite grid value, or an
+    overlap too large for a float, raises ``ValueError``.
     """
     a = _check_grid(wa)
     b = _check_grid(wb)
     if a.shape != b.shape:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
     weight = round(a.size**0.5)
-    overlap = float(np.sum(a * b) / weight)
+    overlap = float(np.vdot(a, b) / weight)
     if not math.isfinite(overlap):
         raise ValueError(f"grid values must be finite; their overlap is {overlap}")
     return overlap

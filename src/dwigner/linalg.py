@@ -24,14 +24,33 @@ def _checked_tolerance(tol: float | None) -> float:
     return tol
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
+def _square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce input to a square complex matrix with finite entries."""
+    a = _square_matrix(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _guarded(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    # one pass over raw input: the square complex matrix, its adjoint and max|a - a†|.  A NaN or
+    # infinite entry makes the defect NaN or inf, so only a defect that fails tol needs
+    # as_matrix's finiteness check, whose error takes precedence over the caller's; a finite
+    # pair whose difference overflows reads inf, without a warning
+    a = _square_matrix(m)
+    adjoint = a.conj().T
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = float(np.abs(a - adjoint).max())
+    if not defect <= tol:
+        as_matrix(a)
+    return a, adjoint, defect
 
 
 def trace_product(a, b) -> complex:
@@ -52,13 +71,26 @@ def hermiticity_defect(a) -> float:
 
 
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, in ascending order."""
+    """Real eigenvalues of a Hermitian matrix, in ascending order.
+
+    The matrix must have finite entries and be Hermitian within ``tol``, or it raises ``ValueError``.
+    """
     tol = _checked_tolerance(tol)
-    a = as_matrix(a)
-    defect = hermiticity_defect(a)
+    a, _, defect = _guarded(a, tol)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
     return np.linalg.eigvalsh(a)
+
+
+def _hermitian_spectrum(hermitian_part: np.ndarray) -> np.ndarray:
+    # eigvalsh of a Hermitian part; one that overflowed to inf or NaN may make LAPACK fail to
+    # converge, and has no spectrum then: all NaN, which no positivity check accepts
+    try:
+        return np.linalg.eigvalsh(hermitian_part)
+    except np.linalg.LinAlgError:
+        if np.isfinite(hermitian_part).all():
+            raise
+        return np.full(hermitian_part.shape[0], np.nan)
 
 
 class DensityMatrixError(ValueError):
@@ -118,12 +150,14 @@ class DensityMatrix:
 def hermitian_matrix(rho) -> np.ndarray:
     """A state's matrix: a DensityMatrix's own, unchecked and uncopied, as it is Hermitian.
 
-    A raw array is coerced by ``as_matrix`` and must be Hermitian within DEFAULT_TOLERANCE.
+    A raw array must be a square matrix with finite entries, Hermitian within DEFAULT_TOLERANCE,
+    or it raises ``ValueError``.  One pass computes max|a - a†|, which any NaN or infinite entry
+    makes non-finite, so only a matrix that fails the tolerance is checked for finiteness, and
+    then raises ``as_matrix``'s error first.
     """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    a = as_matrix(rho)
-    defect = hermiticity_defect(a)
+    a, _, defect = _guarded(rho, DEFAULT_TOLERANCE)
     if defect > DEFAULT_TOLERANCE:
         raise ValueError(
             f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
@@ -140,24 +174,24 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     which is ``a`` bit for bit when ``a`` is exactly Hermitian, and is
     exactly Hermitian whenever it is finite, so the result is built once,
     without the exact comparison a public ``DensityMatrix(matrix=...)``
-    makes.  A part that overflows has NaN eigenvalues and is refused as
-    not positive semidefinite.  A tolerance that is negative or not finite
-    raises ``ValueError``: NaN and infinity would pass every check.
+    makes.  A part that overflows has no finite spectrum: its eigenvalues
+    are NaN, and it is refused as not positive semidefinite by NaN.  The
+    input passes one guard pass, as in ``hermitian_matrix``: non-finite
+    entries raise ``ValueError`` before any invariant is checked.  A
+    tolerance that is negative or not finite raises ``ValueError``: NaN
+    and infinity would pass every check.
     """
     tol = _checked_tolerance(tol)
-    a = as_matrix(m)
-    adjoint = a.conj().T
+    a, adjoint, defect = _guarded(m, tol)
     violations = []
-    defect = float(np.abs(a - adjoint).max())
     if defect > tol:
         violations.append(("hermiticity", defect))
     trace_error = float(abs(a.trace() - 1.0))
     if trace_error > tol:
         violations.append(("unit trace", trace_error))
     hermitian_part = (a + adjoint) / 2.0
-    eigenvalues = np.linalg.eigvalsh(hermitian_part)
+    eigenvalues = _hermitian_spectrum(hermitian_part)
     min_eigenvalue = float(eigenvalues[0])
-    # a Hermitian part that overflowed has NaN eigenvalues (or eigvalsh raises), refused here too
     if not min_eigenvalue >= -tol:
         violations.append(("positive semidefiniteness", -min_eigenvalue))
     if violations:

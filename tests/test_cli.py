@@ -139,6 +139,19 @@ def test_validate_invalid_matrix(matrix_file, capsys):
     assert "verdict: invalid" in out
 
 
+def test_validate_refuses_a_hermitian_part_that_overflows(matrix_file, capsys):
+    # finite entries whose (a + a†)/2 overflows: no spectrum, so refused, not a LAPACK error
+    matrix = np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1)
+    path = matrix_file("overflow.json", matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["validate", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("eigenvalues: [nan, nan, nan, nan]\n")
+    assert captured.out.strip().endswith("verdict: invalid (positive semidefiniteness)")
+    assert "did not converge" not in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_validate_rejects_boolean_dim(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text('{"dim": true, "re": [[1.0]], "im": [[0.0]]}', encoding="utf-8")

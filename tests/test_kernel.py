@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -19,7 +20,7 @@ from dwigner import (
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 from dwigner.generators import su4_kernel
-from dwigner.kernel import hermitizing_phase
+from dwigner.kernel import _hermitizing_phases, hermitizing_phase
 from dwigner.linalg import validate_density
 from dwigner.twoqubit import pair_kernel
 from helpers import random_density
@@ -142,7 +143,7 @@ def test_kernel_structure_at_large_n(n):
     assert kernel(n) is kernel(n)
 
 
-STACKS = [pytest.param(lambda n=n: kernel(n), id=f"kernel{n}") for n in (2, 3, 4, 5, 6, 7, 8, 16, 32)]
+STACKS = [pytest.param(lambda n=n: kernel(n), id=f"kernel{n}") for n in (2, 3, 4, 5, 6, 7, 8, 9, 16, 32)]
 STACKS += [pytest.param(pair_kernel, id="pair"), pytest.param(su4_kernel, id="su4")]
 
 
@@ -360,6 +361,33 @@ def test_overlap_matches_direct_trace(rng):
     b = random_density(rng, 4)
     direct = np.trace(a @ b).real
     assert abs(grid_overlap(wigner_grid(a), wigner_grid(b)) - direct) < 1e-12
+
+
+def _strided(a):
+    # a view of every other value of a grid twice the size along each axis
+    big = np.zeros(tuple(2 * d for d in a.shape))
+    big[tuple(slice(None, None, 2) for _ in a.shape)] = a
+    return big[tuple(slice(None, None, 2) for _ in a.shape)]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (8, 8), (2, 2, 2, 2)], ids=str)
+@pytest.mark.parametrize(
+    "view",
+    [lambda a: a.T.copy().T, _strided, lambda a: np.flip(a, -1).copy()[..., ::-1]],
+    ids=["transposed", "strided", "reversed"],
+)
+def test_overlap_pairs_values_by_index_in_any_memory_order(rng, shape, view):
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    expected = float(np.sum(a * b)) / math.sqrt(a.size)
+    for first, second in ((view(a), b), (a, view(b)), (view(a), view(b))):
+        assert not (first.flags.c_contiguous and second.flags.c_contiguous)
+        assert abs(grid_overlap(first, second) - expected) < 1e-12
+
+
+def test_hermitizing_phase_table_matches_the_scalar():
+    for n in range(2, 34):
+        expected = [[hermitizing_phase(eta, xi, n) for xi in range(n)] for eta in range(n)]
+        np.testing.assert_array_equal(_hermitizing_phases(n), expected)
 
 
 def test_overlap_shape_mismatch():

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from dwigner import (
     trace_product,
     validate_density,
     werner,
+    wigner_grid,
 )
 from dwigner.generators import PAULI_X, PAULI_Y
 from dwigner.linalg import hermitian_matrix, hermiticity_defect
@@ -275,3 +278,73 @@ def test_validate_density_refuses_a_tolerance_that_is_negative_or_not_finite(tol
 
 def test_validate_density_accepts_a_zero_tolerance():
     assert validate_density(np.diag([0.5, 0.5]), 0.0).matrix.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
+def _raw_matrix(entries):
+    m = np.eye(4, dtype=complex) / 4
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+# each raw input with the asymmetry its error reports: None for non-finite entries, which are
+# refused for finiteness first, whatever their asymmetry
+GUARD_INPUTS = {
+    "nan-in-real-part": ({(0, 1): complex(np.nan, 0.0)}, None),
+    "nan-in-imaginary-part": ({(0, 1): complex(0.0, np.nan)}, None),
+    "inf-on-diagonal": ({(2, 2): np.inf}, None),
+    "conjugate-symmetric-inf-pair": ({(0, 1): np.inf, (1, 0): np.inf}, None),
+    "finite-pair-whose-difference-overflows": ({(0, 1): 1e308, (1, 0): -1e308}, ("inf", "inf")),
+    "asymmetry-1e-7": ({(0, 1): 1e-7j}, ("1.000e-07", "1.000000e-07")),
+}
+STATE_GUARD_MESSAGE = (
+    "input matrix is not Hermitian: max asymmetry {0} exceeds 1.0e-10, "
+    "so its phase-space values would have an imaginary part"
+)
+GUARD_ERRORS = {
+    hermitian_matrix: (ValueError, STATE_GUARD_MESSAGE),
+    wigner_grid: (ValueError, STATE_GUARD_MESSAGE),
+    hermitian_eigenvalues: (ValueError, "matrix is not Hermitian: max asymmetry {0}"),
+    validate_density: (DensityMatrixError, "not a density matrix: hermiticity violated by {1}"),
+}
+
+
+@pytest.mark.parametrize("function", GUARD_ERRORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entries, asymmetry", GUARD_INPUTS.values(), ids=GUARD_INPUTS)
+def test_raw_input_guard_errors_and_warnings(function, entries, asymmetry):
+    # one pass over the input: a non-finite entry still raises the finiteness error, and no
+    # input warns, not even the pair whose difference overflows
+    if asymmetry is None:
+        expected_type, message = ValueError, "matrix entries must be finite"
+    else:
+        expected_type, template = GUARD_ERRORS[function]
+        message = template.format(*asymmetry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            function(_raw_matrix(entries))
+    assert type(info.value) is expected_type
+    assert str(info.value) == message
+
+
+OVERFLOWING = np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1)
+
+
+def test_a_hermitian_part_without_a_spectrum_is_not_positive_semidefinite():
+    # (a + a†)/2 overflows to -inf, and LAPACK does not converge on it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DensityMatrixError) as info:
+        validate_density(OVERFLOWING)
+    [(name, magnitude)] = info.value.violations
+    assert name == "positive semidefiniteness"
+    assert math.isnan(magnitude)
+    assert info.value.eigenvalues.shape == (4,)
+    assert np.isnan(info.value.eigenvalues).all()
+
+
+def test_a_finite_hermitian_part_that_lapack_fails_on_raises(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        validate_density(np.eye(4) / 4)
