@@ -12,6 +12,8 @@ among them.  The environment variable DWIGNER_TOLERANCE overrides the
 default validation tolerance of 1e-10, the tolerance of the trace-moment
 inequalities ``validate`` prints, and the X-pattern tolerance of
 ``delta --rep xstate`` and ``marginals``; it must be finite and >= 0.
+``validate`` prints the numbers of the density check ``validate_density`` makes.  Numpy's
+overflow warnings are off while a matrix is checked, so stderr holds only the report.
 """
 
 from __future__ import annotations
@@ -90,10 +92,13 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _load_density(path: str, tol: float):
+    import numpy as np
+
     from .linalg import DensityMatrixError, validate_density
 
     try:
-        return validate_density(_load_matrix(path), tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check reports an overflow itself
+            return validate_density(_load_matrix(path), tol)
     except DensityMatrixError as exc:
         detail = ", ".join(repr(float(v)) for v in exc.eigenvalues)
         raise ValueError(f"{path}: {exc}; eigenvalues: [{detail}]") from exc
@@ -290,34 +295,26 @@ def _cmd_fidelity(args) -> int:
 def _cmd_validate(args) -> int:
     import numpy as np
 
-    from .linalg import (
-        DensityMatrixError,
-        _hermitian_spectrum,
-        hermiticity_defect,
-        positivity_inequalities,
-        validate_density,
-    )
+    from .linalg import _density_check, positivity_inequalities
 
     matrix = _load_matrix(args.input)
     tol = _tolerance()
-    hermitian_part = (matrix + matrix.conj().T) / 2.0
-    eigenvalues = _hermitian_spectrum(hermitian_part)
-    print("eigenvalues: [" + ", ".join(repr(float(v)) for v in eigenvalues) + "]")
-    print(f"trace: {float(np.trace(matrix).real)!r}")
-    print(f"hermiticity defect: {hermiticity_defect(matrix)!r}")
-    # a Hermitian part that overflowed has no trace moments; validate_density refuses it below
-    if matrix.shape[0] == 4 and np.isfinite(hermitian_part).all():
-        report = positivity_inequalities(hermitian_part, tol)
-        print(f"tr(rho^2): {report.trace_sq!r}")
-        print(f"tr(rho^3): {report.trace_cube!r}")
-        print(f"tr(rho^4): {report.trace_fourth!r}")
-        print(f"inequality 1 (tr2 <= 1): {'pass' if report.ineq1 else 'fail'}")
-        print(f"inequality 2 (tr3 lower bound): {'pass' if report.ineq2 else 'fail'}")
-        print(f"inequality 3 (tr4 upper bound): {'pass' if report.ineq3 else 'fail'}")
-    try:
-        validate_density(matrix, tol)
-    except DensityMatrixError as exc:
-        print(f"verdict: invalid ({'; '.join(name for name, _ in exc.violations)})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, defect, trace, hermitian_part, eigenvalues, violations = _density_check(matrix, tol)
+        print("eigenvalues: [" + ", ".join(repr(float(v)) for v in eigenvalues) + "]")
+        print(f"trace: {float(trace.real)!r}")
+        print(f"hermiticity defect: {defect!r}")
+        # a Hermitian part that overflowed has no trace moments; the check refuses it
+        if matrix.shape[0] == 4 and np.isfinite(hermitian_part).all():
+            report = positivity_inequalities(hermitian_part, tol)
+            print(f"tr(rho^2): {report.trace_sq!r}")
+            print(f"tr(rho^3): {report.trace_cube!r}")
+            print(f"tr(rho^4): {report.trace_fourth!r}")
+            print(f"inequality 1 (tr2 <= 1): {'pass' if report.ineq1 else 'fail'}")
+            print(f"inequality 2 (tr3 lower bound): {'pass' if report.ineq2 else 'fail'}")
+            print(f"inequality 3 (tr4 upper bound): {'pass' if report.ineq3 else 'fail'}")
+    if violations:
+        print(f"verdict: invalid ({'; '.join(name for name, _ in violations)})")
         return EXIT_INVALID
     print("verdict: valid density matrix")
     return EXIT_OK

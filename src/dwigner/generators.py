@@ -240,14 +240,13 @@ def verify_algebra(gs: GeneratorSet, tol: float = DEFAULT_TOLERANCE) -> AlgebraR
     return AlgebraReport(tolerance=tol, deviations=deviations)
 
 
-def bloch_vector(rho, gs: GeneratorSet | None = None) -> np.ndarray:
-    """Generator mean values Tr[g_i rho] of a Hermitian matrix, a real vector of length N^2 - 1."""
+def bloch_vector(rho) -> np.ndarray:
+    """Generator mean values Tr[g_i rho] of a Hermitian matrix, a real vector of length N^2 - 1.
+
+    The generators are ``generators(N)``, the one set of each dimension, so N is 2 or 4.
+    """
     a = hermitian_matrix(rho)
-    if gs is None:
-        gs = generators(a.shape[0])
-    if gs.dim != a.shape[0]:
-        raise ValueError(f"dimension mismatch: generators {gs.dim} vs matrix {a.shape[0]}")
-    return _real_rows(gs.stack()) @ _real_rows(a)[0]
+    return _real_rows(generators(a.shape[0]).stack()) @ _real_rows(a)[0]
 
 
 def density_from_bloch(components, n: int) -> np.ndarray:

@@ -64,33 +64,44 @@ def trace_product(a, b) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entrywise deviation of a matrix from its adjoint."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.abs(a - a.conj().T).max())
-
-
-def hermitian_eigenvalues(a, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, in ascending order.
-
-    The matrix must have finite entries and be Hermitian within ``tol``, or it raises ``ValueError``.
-    """
-    tol = _checked_tolerance(tol)
-    a, _, defect = _guarded(a, tol)
+def _density_check(m, tol: float) -> tuple:
+    # the one density check: (a, max|a - a†|, Tr a, Hermitian part (a + a†)/2, its ascending
+    # spectrum, violated invariants with magnitudes).  A part that overflowed to inf or NaN may make
+    # LAPACK fail to converge, and has no spectrum then: all NaN, which no positivity check accepts
+    a, adjoint, defect = _guarded(m, tol)
+    violations = []
     if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
-    return np.linalg.eigvalsh(a)
-
-
-def _hermitian_spectrum(hermitian_part: np.ndarray) -> np.ndarray:
-    # eigvalsh of a Hermitian part; one that overflowed to inf or NaN may make LAPACK fail to
-    # converge, and has no spectrum then: all NaN, which no positivity check accepts
+        violations.append(("hermiticity", defect))
+    trace = a.trace()
+    trace_error = float(abs(trace - 1.0))
+    if trace_error > tol:
+        violations.append(("unit trace", trace_error))
+    hermitian_part = (a + adjoint) / 2.0
     try:
-        return np.linalg.eigvalsh(hermitian_part)
+        eigenvalues = np.linalg.eigvalsh(hermitian_part)
     except np.linalg.LinAlgError:
         if np.isfinite(hermitian_part).all():
             raise
-        return np.full(hermitian_part.shape[0], np.nan)
+        eigenvalues = np.full(a.shape[0], np.nan)
+    min_eigenvalue = float(eigenvalues[0])
+    if not min_eigenvalue >= -tol:
+        violations.append(("positive semidefiniteness", -min_eigenvalue))
+    return a, defect, trace, hermitian_part, eigenvalues, violations
+
+
+def hermitian_eigenvalues(a, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Real eigenvalues of the Hermitian part (a + a†)/2 that ``validate_density`` checks, ascending.
+
+    The matrix must have finite entries, be Hermitian within ``tol`` and have a finite spectrum
+    (entries near 1e308 overflow), or it raises ``ValueError``.
+    """
+    tol = _checked_tolerance(tol)
+    _, defect, _, _, eigenvalues, _ = _density_check(a, tol)
+    if defect > tol:
+        raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError("matrix has no finite spectrum: its Hermitian part or its eigenvalues overflow")
+    return eigenvalues
 
 
 class DensityMatrixError(ValueError):
@@ -170,8 +181,9 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     """Check Hermiticity, unit trace and positive semidefiniteness within ``tol``.
 
     Raises DensityMatrixError listing every violated invariant together
-    with its measured magnitude.  Stores the Hermitian part (a + a†)/2,
-    which is ``a`` bit for bit when ``a`` is exactly Hermitian, and is
+    with its measured magnitude; ``dwigner validate`` prints the same check.
+    Stores the Hermitian part (a + a†)/2, whose spectrum ``hermitian_eigenvalues``
+    reads, which is ``a`` bit for bit when ``a`` is exactly Hermitian, and is
     exactly Hermitian whenever it is finite, so the result is built once,
     without the exact comparison a public ``DensityMatrix(matrix=...)``
     makes.  A part that overflows has no finite spectrum: its eigenvalues
@@ -181,19 +193,7 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     tolerance that is negative or not finite raises ``ValueError``: NaN
     and infinity would pass every check.
     """
-    tol = _checked_tolerance(tol)
-    a, adjoint, defect = _guarded(m, tol)
-    violations = []
-    if defect > tol:
-        violations.append(("hermiticity", defect))
-    trace_error = float(abs(a.trace() - 1.0))
-    if trace_error > tol:
-        violations.append(("unit trace", trace_error))
-    hermitian_part = (a + adjoint) / 2.0
-    eigenvalues = _hermitian_spectrum(hermitian_part)
-    min_eigenvalue = float(eigenvalues[0])
-    if not min_eigenvalue >= -tol:
-        violations.append(("positive semidefiniteness", -min_eigenvalue))
+    a, _, _, hermitian_part, eigenvalues, violations = _density_check(m, _checked_tolerance(tol))
     if violations:
         error = DensityMatrixError(violations, a)
         error.eigenvalues = eigenvalues

@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -424,3 +425,88 @@ def test_a_refused_matrix_reports_the_spectrum_of_its_hermitian_part(argv, matri
         f"error: {path}: not a density matrix: positive semidefiniteness violated by 1.000000e-01; "
         "eigenvalues: [-0.1, 0.0, 0.0, 1.1]\n"
     )
+
+
+OVERFLOWING = np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1)
+ASYMMETRIC = np.eye(4, dtype=complex) / 4
+ASYMMETRIC[0, 1] = 1e-7j
+TRACE_MOMENTS = (
+    "tr(rho^2): {}\ntr(rho^3): {}\ntr(rho^4): {}\n"
+    "inequality 1 (tr2 <= 1): {}\ninequality 2 (tr3 lower bound): {}\ninequality 3 (tr4 upper bound): {}\n"
+)
+ASYMMETRIC_REPORT = (
+    "eigenvalues: [0.24999995000000003, 0.25, 0.25, 0.25000005]\ntrace: 1.0\nhermiticity defect: 1e-07\n"
+    + TRACE_MOMENTS.format(
+        "0.250000000000005", "0.06250000000000375", "0.015625000000001874", "pass", "pass", "pass"
+    )
+)
+# each file with the tolerance, exit code and stdout of `dwigner validate`
+VALIDATE_REPORTS = {
+    "valid-4x4": (
+        np.diag([0.4, 0.3, 0.2, 0.1]), None, 0,
+        "eigenvalues: [0.1, 0.2, 0.3, 0.4]\ntrace: 1.0\nhermiticity defect: 0.0\n"
+        + TRACE_MOMENTS.format("0.3", "0.10000000000000002", "0.03540000000000001", "pass", "pass", "pass")
+        + "verdict: valid density matrix\n",
+    ),
+    "2x2": (
+        np.diag([0.75, 0.25]), None, 0,
+        "eigenvalues: [0.25, 0.75]\ntrace: 1.0\nhermiticity defect: 0.0\nverdict: valid density matrix\n",
+    ),
+    "8x8": (
+        np.eye(8) / 8, None, 0,
+        "eigenvalues: [" + ", ".join(["0.125"] * 8) + "]\ntrace: 1.0\nhermiticity defect: 0.0\n"
+        "verdict: valid density matrix\n",
+    ),
+    "negative-eigenvalue": (
+        np.diag([1.1, -0.1, 0.0, 0.0]), None, 1,
+        "eigenvalues: [-0.1, 0.0, 0.0, 1.1]\ntrace: 1.0\nhermiticity defect: 0.0\n"
+        + TRACE_MOMENTS.format(
+            "1.2200000000000002", "1.3300000000000005", "1.4642000000000004", "fail", "pass", "pass"
+        )
+        + "verdict: invalid (positive semidefiniteness)\n",
+    ),
+    "trace-1.2": (
+        np.diag([0.3] * 4), None, 1,
+        "eigenvalues: [0.3, 0.3, 0.3, 0.3]\ntrace: 1.2\nhermiticity defect: 0.0\n"
+        + TRACE_MOMENTS.format("0.36", "0.108", "0.0324", "pass", "pass", "fail")
+        + "verdict: invalid (unit trace)\n",
+    ),
+    "asymmetry-1e-7": (ASYMMETRIC, None, 1, ASYMMETRIC_REPORT + "verdict: invalid (hermiticity)\n"),
+    "asymmetry-1e-7-at-1e-5": (ASYMMETRIC, "1e-5", 0, ASYMMETRIC_REPORT + "verdict: valid density matrix\n"),
+    "hermitian-part-overflows": (
+        OVERFLOWING, None, 1,
+        "eigenvalues: [nan, nan, nan, nan]\ntrace: 1.0\nhermiticity defect: 0.0\n"
+        "verdict: invalid (positive semidefiniteness)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("matrix, tolerance, code, report", VALIDATE_REPORTS.values(), ids=VALIDATE_REPORTS)
+def test_validate_prints_the_numbers_of_the_density_check(
+    matrix, tolerance, code, report, matrix_file, capsys, monkeypatch
+):
+    if tolerance is not None:
+        monkeypatch.setenv("DWIGNER_TOLERANCE", tolerance)
+    path = matrix_file("m.json", matrix)
+    assert main(["validate", "--input", path]) == code
+    assert capsys.readouterr() == (report, "")
+
+
+@pytest.mark.parametrize("json_errors", [[], ["--json-errors"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["wigner", "delta", "marginals", "fidelity", "validate"])
+def test_a_hermitian_part_that_overflows_writes_no_numpy_warning(command, json_errors, matrix_file, capsys):
+    path = matrix_file("overflow.json", OVERFLOWING)
+    inputs = ["--a", path, "--b", path] if command == "fidelity" else ["--input", path]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*json_errors, command, *inputs]) == 1
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    if command == "validate":
+        assert err == ""  # its verdict is on stdout
+    elif json_errors:
+        [line] = err.splitlines()
+        assert json.loads(line)["kind"] == "validation"
+    else:
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {path}: not a density matrix: positive semidefiniteness violated by")

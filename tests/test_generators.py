@@ -168,6 +168,11 @@ def test_bloch_vector_maximally_mixed():
     np.testing.assert_allclose(bloch_vector(np.eye(4) / 4), 0.0, atol=1e-14)
 
 
+def test_bloch_vector_reads_the_one_generator_set_of_its_dimension():
+    with pytest.raises(ValueError, match="unsupported dimension 3; expected 2 or 4"):
+        bloch_vector(np.eye(3) / 3)
+
+
 @pytest.mark.parametrize("n", (2, 4))
 def test_bloch_round_trip_and_purity_identity(rng, n):
     rho = random_density(rng, n)

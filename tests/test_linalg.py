@@ -20,7 +20,7 @@ from dwigner import (
     wigner_grid,
 )
 from dwigner.generators import PAULI_X, PAULI_Y
-from dwigner.linalg import hermitian_matrix, hermiticity_defect
+from dwigner.linalg import hermitian_matrix
 from helpers import random_density, random_hermitian_unit_trace
 
 
@@ -56,6 +56,25 @@ def test_eigenvalues_pauli_z():
 
 def test_eigenvalues_maximally_mixed():
     np.testing.assert_allclose(hermitian_eigenvalues(np.eye(4) / 4), [0.25] * 4, atol=1e-14)
+
+
+def test_eigenvalues_are_those_of_the_hermitian_part():
+    # within tol of Hermitian: the spectrum of (a + a†)/2, not [0.5, 0.5] of a's lower triangle
+    matrix = np.array([[0.5, 0.3j], [0.0, 0.5]])
+    np.testing.assert_allclose(hermitian_eigenvalues(matrix, 0.5), [0.35, 0.65], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1),
+        np.full((4, 4), 8e307),
+    ],
+    ids=["hermitian-part-overflows", "largest-eigenvalue-overflows"],
+)
+def test_eigenvalues_refuse_a_matrix_without_a_finite_spectrum(matrix):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="no finite spectrum"):
+        hermitian_eigenvalues(matrix)
 
 
 def test_eigenvalues_rejects_non_hermitian():
@@ -210,14 +229,14 @@ def test_validated_state_stores_the_exact_hermitian_part():
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = 1e-7j
     dm = validate_density(m, 1e-5)
-    assert hermiticity_defect(dm.matrix) == 0
+    assert (dm.matrix == dm.matrix.conj().T).all()
     np.testing.assert_array_equal(dm.matrix, (m + m.conj().T) / 2)
 
 
 def test_validated_hermitian_input_is_stored_bit_for_bit(rng):
     rho = random_density(rng, 4)
     m = (rho + rho.conj().T) / 2
-    assert hermiticity_defect(m) == 0
+    assert (m == m.conj().T).all()
     np.testing.assert_array_equal(validate_density(m).matrix, m)
 
 

@@ -14,12 +14,15 @@ from hypothesis.extra import numpy as hnp
 
 import dwigner
 from dwigner import (
+    DensityMatrixError,
     FanoCoefficients,
     XState,
     fano_matrix,
+    hermitian_eigenvalues,
     purity,
     reconstruct,
     schwinger_pair,
+    validate_density,
     wigner_grid,
     wigner_pair,
     wigner_pair_from_matrix,
@@ -69,6 +72,21 @@ def test_shift_conjugation_shifts_the_mu_axis(rho):
 @given(density_matrices)
 def test_round_trip(rho):
     np.testing.assert_allclose(reconstruct(wigner_grid(rho)), rho, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(density_matrices)
+def test_every_report_of_a_spectrum_is_the_same(rho):
+    # an exactly Hermitian state is its own Hermitian part, so its spectrum is eigvalsh's bit for
+    # bit, as are the stored state's and that of the error refusing twice the state
+    m = (rho + rho.conj().T) / 2
+    spectrum = hermitian_eigenvalues(m)
+    np.testing.assert_array_equal(spectrum, np.linalg.eigvalsh(m))
+    np.testing.assert_array_equal(spectrum, np.linalg.eigvalsh(validate_density(m).matrix))
+    with pytest.raises(DensityMatrixError) as info:
+        validate_density(2 * m)
+    np.testing.assert_array_equal(info.value.eigenvalues, hermitian_eigenvalues(2 * m))
+    np.testing.assert_array_equal(info.value.eigenvalues, np.linalg.eigvalsh(2 * m))
 
 
 @PROPERTY_SETTINGS
