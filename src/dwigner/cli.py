@@ -12,8 +12,8 @@ among them.  The environment variable DWIGNER_TOLERANCE overrides the
 default validation tolerance of 1e-10, the tolerance of the trace-moment
 inequalities ``validate`` prints, and the X-pattern tolerance of
 ``delta --rep xstate`` and ``marginals``; it must be finite and >= 0.
-``validate`` prints the numbers of the density check ``validate_density`` makes.  Numpy's
-overflow warnings are off while a matrix is checked, so stderr holds only the report.
+``validate`` prints the numbers of the density check ``validate_density`` makes, once the
+library's guard has passed the file: entries whose squares overflow exit 1, naming the file.
 """
 
 from __future__ import annotations
@@ -92,16 +92,16 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _load_density(path: str, tol: float):
-    import numpy as np
-
     from .linalg import DensityMatrixError, validate_density
 
+    matrix = _load_matrix(path)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the check reports an overflow itself
-            return validate_density(_load_matrix(path), tol)
+        return validate_density(matrix, tol)
     except DensityMatrixError as exc:
         detail = ", ".join(repr(float(v)) for v in exc.eigenvalues)
         raise ValueError(f"{path}: {exc}; eigenvalues: [{detail}]") from exc
+    except ValueError as exc:  # parse_matrix reads square finite matrices: the guard's "too large"
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -299,20 +299,24 @@ def _cmd_validate(args) -> int:
 
     matrix = _load_matrix(args.input)
     tol = _tolerance()
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         _, defect, trace, hermitian_part, eigenvalues, violations = _density_check(matrix, tol)
-        print("eigenvalues: [" + ", ".join(repr(float(v)) for v in eigenvalues) + "]")
-        print(f"trace: {float(trace.real)!r}")
-        print(f"hermiticity defect: {defect!r}")
-        # a Hermitian part that overflowed has no trace moments; the check refuses it
-        if matrix.shape[0] == 4 and np.isfinite(hermitian_part).all():
+    except ValueError as exc:  # as in _load_density, only the guard's "too large" reaches here
+        raise ValueError(f"{args.input}: {exc}") from exc
+    print("eigenvalues: [" + ", ".join(repr(float(v)) for v in eigenvalues) + "]")
+    print(f"trace: {float(trace.real)!r}")
+    print(f"hermiticity defect: {defect!r}")
+    if matrix.shape[0] == 4:
+        # Tr a^3 and Tr a^4 overflow to inf for entries above about 1e77, which the guard
+        # admits, and numpy's matmul warns then; the report prints inf and stderr stays empty
+        with np.errstate(over="ignore", invalid="ignore"):
             report = positivity_inequalities(hermitian_part, tol)
-            print(f"tr(rho^2): {report.trace_sq!r}")
-            print(f"tr(rho^3): {report.trace_cube!r}")
-            print(f"tr(rho^4): {report.trace_fourth!r}")
-            print(f"inequality 1 (tr2 <= 1): {'pass' if report.ineq1 else 'fail'}")
-            print(f"inequality 2 (tr3 lower bound): {'pass' if report.ineq2 else 'fail'}")
-            print(f"inequality 3 (tr4 upper bound): {'pass' if report.ineq3 else 'fail'}")
+        print(f"tr(rho^2): {report.trace_sq!r}")
+        print(f"tr(rho^3): {report.trace_cube!r}")
+        print(f"tr(rho^4): {report.trace_fourth!r}")
+        print(f"inequality 1 (tr2 <= 1): {'pass' if report.ineq1 else 'fail'}")
+        print(f"inequality 2 (tr3 lower bound): {'pass' if report.ineq2 else 'fail'}")
+        print(f"inequality 3 (tr4 upper bound): {'pass' if report.ineq3 else 'fail'}")
     if violations:
         print(f"verdict: invalid ({'; '.join(name for name, _ in violations)})")
         return EXIT_INVALID

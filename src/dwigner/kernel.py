@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import hermitian_matrix
+from .linalg import _bounded, hermitian_matrix
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -236,7 +236,7 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 
-    A grid with a NaN or infinite value raises ``ValueError``.  Only the
+    A grid whose sum of squares is not finite raises ``ValueError``.  Only the
     trace-orthogonal ``kernel(n)`` is inverted; any other stack (the pair
     or four-level closed-form stacks) raises.  The sum is the adjoint of
     ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory: one DFT
@@ -256,8 +256,7 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         raise ValueError("reconstruct inverts only the phase-point kernel kernel(n)")
     if kern.dim != w.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs grid {w.shape[0]}")
-    if not np.isfinite(w).all():
-        raise ValueError("grid values must be finite")
+    _bounded(w, "grid values")
     n = kern.dim
     # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi)
     r = f.dft @ (f.adjoint * (f.dft_h @ w @ f.dft_h))

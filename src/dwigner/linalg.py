@@ -31,26 +31,30 @@ def _square_matrix(m) -> np.ndarray:
     return a
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
-    a = _square_matrix(m)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+def _bounded(a: np.ndarray, what: str) -> np.ndarray:
+    # as_matrix's rule, for a matrix or a grid: one BLAS vdot; the isfinite pass only names the fault
+    if not math.isfinite(np.vdot(a, a).real):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} are too large: the sum of their squared magnitudes overflows")
     return a
 
 
-def _guarded(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    # one pass over raw input: the square complex matrix, its adjoint and max|a - a†|.  A NaN or
-    # infinite entry makes the defect NaN or inf, so only a defect that fails tol needs
-    # as_matrix's finiteness check, whose error takes precedence over the caller's; a finite
-    # pair whose difference overflows reads inf, without a warning
-    a = _square_matrix(m)
+def as_matrix(m) -> np.ndarray:
+    """Coerce input to a square complex matrix whose sum of |a_ij|^2 is finite, or raise ValueError.
+
+    Every density matrix passes (the sum is Tr rho^2 <= 1); NaN or infinite entries, and finite
+    ones whose squares overflow (of order 1e154 / n), do not.  Every entry is then below 2^512, so
+    no sum, product, DFT or spectrum of n of them overflows.
+    """
+    return _bounded(_square_matrix(m), "matrix entries")
+
+
+def _guarded(m) -> tuple[np.ndarray, np.ndarray, float]:
+    # one guard pass over raw input: the accepted matrix, its adjoint and max|a - a†|
+    a = as_matrix(m)
     adjoint = a.conj().T
-    with np.errstate(invalid="ignore", over="ignore"):
-        defect = float(np.abs(a - adjoint).max())
-    if not defect <= tol:
-        as_matrix(a)
-    return a, adjoint, defect
+    return a, adjoint, float(np.abs(a - adjoint).max())
 
 
 def trace_product(a, b) -> complex:
@@ -66,9 +70,8 @@ def trace_product(a, b) -> complex:
 
 def _density_check(m, tol: float) -> tuple:
     # the one density check: (a, max|a - a†|, Tr a, Hermitian part (a + a†)/2, its ascending
-    # spectrum, violated invariants with magnitudes).  A part that overflowed to inf or NaN may make
-    # LAPACK fail to converge, and has no spectrum then: all NaN, which no positivity check accepts
-    a, adjoint, defect = _guarded(m, tol)
+    # spectrum, violated invariants with magnitudes), all finite for a matrix the guard accepts
+    a, adjoint, defect = _guarded(m)
     violations = []
     if defect > tol:
         violations.append(("hermiticity", defect))
@@ -77,12 +80,7 @@ def _density_check(m, tol: float) -> tuple:
     if trace_error > tol:
         violations.append(("unit trace", trace_error))
     hermitian_part = (a + adjoint) / 2.0
-    try:
-        eigenvalues = np.linalg.eigvalsh(hermitian_part)
-    except np.linalg.LinAlgError:
-        if np.isfinite(hermitian_part).all():
-            raise
-        eigenvalues = np.full(a.shape[0], np.nan)
+    eigenvalues = np.linalg.eigvalsh(hermitian_part)
     min_eigenvalue = float(eigenvalues[0])
     if not min_eigenvalue >= -tol:
         violations.append(("positive semidefiniteness", -min_eigenvalue))
@@ -92,15 +90,13 @@ def _density_check(m, tol: float) -> tuple:
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Real eigenvalues of the Hermitian part (a + a†)/2 that ``validate_density`` checks, ascending.
 
-    The matrix must have finite entries, be Hermitian within ``tol`` and have a finite spectrum
-    (entries near 1e308 overflow), or it raises ``ValueError``.
+    The matrix must pass ``as_matrix`` and be Hermitian within ``tol``, or it raises ``ValueError``;
+    its eigenvalues, bounded by sqrt(sum |a_ij|^2), are then finite.
     """
     tol = _checked_tolerance(tol)
     _, defect, _, _, eigenvalues, _ = _density_check(a, tol)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
-    if not np.isfinite(eigenvalues).all():
-        raise ValueError("matrix has no finite spectrum: its Hermitian part or its eigenvalues overflow")
     return eigenvalues
 
 
@@ -129,8 +125,8 @@ class DensityMatrix:
     """A validated density matrix: exactly Hermitian, unit trace, positive semidefinite.
 
     Made by ``validate_density``, which stores the read-only Hermitian part.  Construction
-    refuses a matrix that is not square or not exactly equal to its conjugate transpose, so
-    ``hermitian_matrix`` can trust every instance.
+    refuses a matrix that is not square, fails ``as_matrix``'s rule or is not exactly equal to
+    its conjugate transpose, so ``hermitian_matrix`` can trust every instance.
     """
 
     matrix: np.ndarray
@@ -139,6 +135,7 @@ class DensityMatrix:
         m = self.matrix
         if not isinstance(m, np.ndarray) or m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"a DensityMatrix holds a square matrix, got shape {np.shape(m)}")
+        _bounded(m, "matrix entries")
         if not (m == m.conj().T).all():
             raise ValueError("a DensityMatrix holds an exactly Hermitian matrix; build one with validate_density")
 
@@ -161,14 +158,13 @@ class DensityMatrix:
 def hermitian_matrix(rho) -> np.ndarray:
     """A state's matrix: a DensityMatrix's own, unchecked and uncopied, as it is Hermitian.
 
-    A raw array must be a square matrix with finite entries, Hermitian within DEFAULT_TOLERANCE,
-    or it raises ``ValueError``.  One pass computes max|a - a†|, which any NaN or infinite entry
-    makes non-finite, so only a matrix that fails the tolerance is checked for finiteness, and
-    then raises ``as_matrix``'s error first.
+    A raw array must pass ``as_matrix`` (a square matrix whose sum of |a_ij|^2 is finite) and
+    be Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``.  The guard's bound
+    keeps every grid and coordinate vector read from the matrix finite.
     """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    a, _, defect = _guarded(rho, DEFAULT_TOLERANCE)
+    a, _, defect = _guarded(rho)
     if defect > DEFAULT_TOLERANCE:
         raise ValueError(
             f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
@@ -184,14 +180,11 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     with its measured magnitude; ``dwigner validate`` prints the same check.
     Stores the Hermitian part (a + a†)/2, whose spectrum ``hermitian_eigenvalues``
     reads, which is ``a`` bit for bit when ``a`` is exactly Hermitian, and is
-    exactly Hermitian whenever it is finite, so the result is built once,
-    without the exact comparison a public ``DensityMatrix(matrix=...)``
-    makes.  A part that overflows has no finite spectrum: its eigenvalues
-    are NaN, and it is refused as not positive semidefinite by NaN.  The
-    input passes one guard pass, as in ``hermitian_matrix``: non-finite
-    entries raise ``ValueError`` before any invariant is checked.  A
-    tolerance that is negative or not finite raises ``ValueError``: NaN
-    and infinity would pass every check.
+    exactly Hermitian, so the result is built once, without the exact
+    comparison a public ``DensityMatrix(matrix=...)`` makes.  The input
+    passes ``as_matrix``'s rule first, as in ``hermitian_matrix``, so every
+    number the check computes is finite.  A tolerance that is negative or
+    not finite raises ``ValueError``: NaN and infinity would pass every check.
     """
     a, _, _, hermitian_part, eigenvalues, violations = _density_check(m, _checked_tolerance(tol))
     if violations:
@@ -248,5 +241,5 @@ def positivity_inequalities(rho, tol: float = DEFAULT_TOLERANCE) -> PositivityRe
         trace_fourth=p4,
         ineq1=p2 <= 1.0 + tol,
         ineq2=p3 >= 1.5 * p2 - 0.5 - tol,
-        ineq3=p4 <= 1.0 / 6.0 - p2 + 0.5 * p2**2 + (4.0 / 3.0) * p3 + tol,
+        ineq3=p4 <= 1.0 / 6.0 - p2 + 0.5 * p2 * p2 + (4.0 / 3.0) * p3 + tol,
     )

@@ -123,6 +123,14 @@ def test_measure_probabilities_born_rule(rng):
     assert abs(np.sum(measure_probabilities(state)) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "state", ([1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]), ids=("three-components", "matrix")
+)
+def test_measure_probabilities_rejects_a_vector_of_the_wrong_shape(state):
+    with pytest.raises(ValueError, match="expected a 4-component state vector"):
+        measure_probabilities(state)
+
+
 def test_measure_probabilities_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         measure_probabilities(np.array([1.0, 1.0, 0.0, 0.0]))

@@ -141,16 +141,13 @@ def test_validate_invalid_matrix(matrix_file, capsys):
 
 
 def test_validate_refuses_a_hermitian_part_that_overflows(matrix_file, capsys):
-    # finite entries whose (a + a†)/2 overflows: no spectrum, so refused, not a LAPACK error
+    # finite entries whose (a + a†)/2 would overflow: the guard refuses the file before the check
     matrix = np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1)
     path = matrix_file("overflow.json", matrix)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["validate", "--input", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out.startswith("eigenvalues: [nan, nan, nan, nan]\n")
-    assert captured.out.strip().endswith("verdict: invalid (positive semidefiniteness)")
-    assert "did not converge" not in captured.err
-    assert "Traceback" not in captured.err
+    assert capsys.readouterr() == ("", f"error: {path}: {TOO_LARGE}\n")
 
 
 def test_validate_rejects_boolean_dim(tmp_path, capsys):
@@ -170,6 +167,20 @@ def test_state_rejects_non_finite_parameter(capsys):
 def test_unknown_state_name_is_usage_error(capsys):
     assert main(["state", "--name", "foo:x=1"]) == 2
     assert "unknown state name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("werner:G=0.5", "state 'werner:G=0.5' requires parameter 'F'"),
+        ("munro:g=half", "parameter 'g' of 'munro:g=half' must be a number"),
+        ("level:4", "level must be 0..3, got 4"),
+    ],
+    ids=["missing-parameter", "non-numeric-parameter", "level-out-of-range"],
+)
+def test_a_malformed_state_name_is_a_usage_error(name, message, capsys):
+    assert main(["state", "--name", name]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_json_errors_flag(capsys):
@@ -428,6 +439,7 @@ def test_a_refused_matrix_reports_the_spectrum_of_its_hermitian_part(argv, matri
 
 
 OVERFLOWING = np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1)
+TOO_LARGE = "matrix entries are too large: the sum of their squared magnitudes overflows"
 ASYMMETRIC = np.eye(4, dtype=complex) / 4
 ASYMMETRIC[0, 1] = 1e-7j
 TRACE_MOMENTS = (
@@ -473,11 +485,15 @@ VALIDATE_REPORTS = {
     ),
     "asymmetry-1e-7": (ASYMMETRIC, None, 1, ASYMMETRIC_REPORT + "verdict: invalid (hermiticity)\n"),
     "asymmetry-1e-7-at-1e-5": (ASYMMETRIC, "1e-5", 0, ASYMMETRIC_REPORT + "verdict: valid density matrix\n"),
-    "hermitian-part-overflows": (
-        OVERFLOWING, None, 1,
-        "eigenvalues: [nan, nan, nan, nan]\ntrace: 1.0\nhermiticity defect: 0.0\n"
-        "verdict: invalid (positive semidefiniteness)\n",
+    # Tr a^4 overflows, which the guard admits: the moments print inf, with no numpy warning
+    "trace-moments-overflow": (
+        np.diag([1e100] * 4), None, 1,
+        "eigenvalues: [1e+100, 1e+100, 1e+100, 1e+100]\ntrace: 4e+100\nhermiticity defect: 0.0\n"
+        + TRACE_MOMENTS.format("4e+200", "4e+300", "inf", "fail", "pass", "pass")
+        + "verdict: invalid (unit trace)\n",
     ),
+    # refused by the guard before the check: no report, one line on stderr
+    "hermitian-part-overflows": (OVERFLOWING, None, 1, ""),
 }
 
 
@@ -488,8 +504,10 @@ def test_validate_prints_the_numbers_of_the_density_check(
     if tolerance is not None:
         monkeypatch.setenv("DWIGNER_TOLERANCE", tolerance)
     path = matrix_file("m.json", matrix)
-    assert main(["validate", "--input", path]) == code
-    assert capsys.readouterr() == (report, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--input", path]) == code
+    assert capsys.readouterr() == (report, "" if report else f"error: {path}: {TOO_LARGE}\n")
 
 
 @pytest.mark.parametrize("json_errors", [[], ["--json-errors"]], ids=["text", "json"])
@@ -501,12 +519,10 @@ def test_a_hermitian_part_that_overflows_writes_no_numpy_warning(command, json_e
         warnings.simplefilter("always")
         assert main([*json_errors, command, *inputs]) == 1
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    err = capsys.readouterr().err
-    if command == "validate":
-        assert err == ""  # its verdict is on stdout
-    elif json_errors:
-        [line] = err.splitlines()
-        assert json.loads(line)["kind"] == "validation"
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    if json_errors:
+        assert json.loads(line) == {"error": f"{path}: {TOO_LARGE}", "kind": "validation"}
     else:
-        [line] = err.splitlines()
-        assert line.startswith(f"error: {path}: not a density matrix: positive semidefiniteness violated by")
+        assert line == f"error: {path}: {TOO_LARGE}"

@@ -205,6 +205,8 @@ def test_representative_total_over_integers():
 def test_representative_index_errors():
     with pytest.raises(IndexError):
         generator_representative(15, 0, 0)
+    with pytest.raises(IndexError):
+        generator_representative(3, 0, 0, dim=2)
     with pytest.raises(ValueError):
         generator_representative(0, 0, 0, dim=3)
 
@@ -278,6 +280,12 @@ def test_wigner_su2_rejects_long_vectors():
         wigner_su2([1.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("p", ([0.0, 0.0], np.zeros((3, 1))), ids=("two-components", "column"))
+def test_wigner_su2_rejects_a_vector_of_the_wrong_shape(p):
+    with pytest.raises(ValueError, match="expected a 3-component polarization vector"):
+        wigner_su2(p)
+
+
 def test_wigner_su2_rejects_non_finite_vectors():
     with pytest.raises(ValueError, match="finite"):
         wigner_su2([np.nan] * 3)
@@ -290,6 +298,12 @@ def test_density_from_bloch_rejects_non_finite_components(n, value):
     components[0] = value
     with pytest.raises(ValueError, match="finite"):
         density_from_bloch(components, n)
+
+
+@pytest.mark.parametrize("n, count", [(2, 4), (4, 3)])
+def test_density_from_bloch_rejects_the_wrong_number_of_components(n, count):
+    with pytest.raises(ValueError, match=f"expected {n * n - 1} components, got shape \\({count},\\)"):
+        density_from_bloch(np.zeros(count), n)
 
 
 def test_wigner_su2_matrix_element_form(rng):

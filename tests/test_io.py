@@ -72,6 +72,13 @@ def test_parse_matrix_rejects_non_finite_entries(re, im):
         parse_matrix(f'{{"dim":1,"re":[[{re}]],"im":[[{im}]]}}')
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_serialize_matrix_rejects_a_non_square_array(shape):
+    with pytest.raises(ValueError) as info:
+        serialize_matrix(np.zeros(shape))
+    assert str(info.value) == f"expected a square matrix, got shape {shape}"
+
+
 def test_parse_matrix_accepts_bytes():
     text = serialize_matrix(np.eye(2) / 2).encode()
     np.testing.assert_allclose(parse_matrix(text), np.eye(2) / 2, atol=1e-15)
@@ -117,6 +124,7 @@ def test_json_format_is_valid_json(rng):
 def test_grid_round_trips_exact(rng, fmt):
     single = wigner_su4(random_density(rng, 4))
     assert np.array_equal(parse_grid(emit_grid(single, fmt), fmt), single)
+    assert np.array_equal(parse_grid(emit_grid(single, fmt).encode(), fmt), single)
     pair = wigner_pair(fano_extract(random_density(rng, 4)))
     assert np.array_equal(parse_grid(emit_grid(pair, fmt), fmt), pair)
 

@@ -20,7 +20,7 @@ from dwigner import (
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 from dwigner.generators import su4_kernel
-from dwigner.kernel import _hermitizing_phases, hermitizing_phase
+from dwigner.kernel import MappingKernel, _hermitizing_phases, hermitizing_phase
 from dwigner.linalg import validate_density
 from dwigner.twoqubit import pair_kernel
 from helpers import random_density
@@ -56,6 +56,19 @@ def test_schwinger_pair_ququart_clock():
 def test_schwinger_pair_rejects_small_dimension():
     with pytest.raises(ValueError):
         schwinger_pair(1)
+
+
+def test_kernel_rejects_small_dimension():
+    with pytest.raises(ValueError, match="dimension must be at least 2, got 1"):
+        kernel(1)
+
+
+@pytest.mark.parametrize(
+    "fields", [{}, {"ops": np.zeros((2, 2, 2, 2)), "factors": kernel(2).factors}], ids=["neither", "both"]
+)
+def test_mapping_kernel_carries_either_a_stack_or_factors(fields):
+    with pytest.raises(ValueError, match="either a stack of operators or phase-point factors"):
+        MappingKernel(2, **fields)
 
 
 def test_symmetrized_basis_identity_point():
@@ -315,6 +328,23 @@ def test_reconstruct_rejects_other_stacks(stack):
     rho = np.eye(4) / 4
     with pytest.raises(ValueError, match="only the phase-point kernel"):
         reconstruct(wigner_grid(rho, stack()).reshape(4, 4), stack())
+
+
+@pytest.mark.parametrize(
+    "grid, kern, message",
+    [
+        (np.full((2, 3), 0.5), None, r"expected a square grid, got shape \(2, 3\)"),
+        (np.full(4, 0.5), None, r"expected a square grid, got shape \(4,\)"),
+        (np.full((4, 4), 0.25), kernel(2), "dimension mismatch: kernel 2 vs grid 4"),
+        (np.full((4, 4), 1e308), None, "grid values are too large: the sum of their squared magnitudes"),
+    ],
+    ids=["not-square", "vector", "kernel-of-another-dimension", "squares-overflow"],
+)
+def test_reconstruct_rejects_a_grid_it_cannot_invert(grid, kern, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            reconstruct(grid, kern)
 
 
 def test_reconstruct_bell_grid():

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -9,6 +8,7 @@ from dwigner import (
     DensityMatrix,
     DensityMatrixError,
     bloch_vector,
+    fano_extract,
     hermitian_eigenvalues,
     positivity_inequalities,
     purity,
@@ -18,10 +18,15 @@ from dwigner import (
     validate_density,
     werner,
     wigner_grid,
+    wigner_pair_from_matrix,
+    wigner_su4,
+    xstate_from_matrix,
 )
 from dwigner.generators import PAULI_X, PAULI_Y
 from dwigner.linalg import hermitian_matrix
 from helpers import random_density, random_hermitian_unit_trace
+
+TOO_LARGE = "matrix entries are too large: the sum of their squared magnitudes overflows"
 
 
 def test_trace_product_identity():
@@ -73,8 +78,18 @@ def test_eigenvalues_are_those_of_the_hermitian_part():
     ids=["hermitian-part-overflows", "largest-eigenvalue-overflows"],
 )
 def test_eigenvalues_refuse_a_matrix_without_a_finite_spectrum(matrix):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="no finite spectrum"):
-        hermitian_eigenvalues(matrix)
+    # the guard refuses both before any eigenvalue is computed, and nothing overflows on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            hermitian_eigenvalues(matrix)
+    assert str(info.value) == TOO_LARGE
+
+
+@pytest.mark.parametrize("reader", [hermitian_matrix, validate_density, hermitian_eigenvalues, wigner_grid])
+def test_raw_readers_refuse_a_non_square_matrix(reader):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        reader(np.ones((2, 3)) / 2)
 
 
 def test_eigenvalues_rejects_non_hermitian():
@@ -306,14 +321,15 @@ def _raw_matrix(entries):
     return m
 
 
-# each raw input with the asymmetry its error reports: None for non-finite entries, which are
-# refused for finiteness first, whatever their asymmetry
+FINITE = "matrix entries must be finite"
+# each raw input with the asymmetry its error reports, or the guard's own message for an input
+# it refuses whatever the asymmetry: non-finite entries, and finite ones whose squares overflow
 GUARD_INPUTS = {
-    "nan-in-real-part": ({(0, 1): complex(np.nan, 0.0)}, None),
-    "nan-in-imaginary-part": ({(0, 1): complex(0.0, np.nan)}, None),
-    "inf-on-diagonal": ({(2, 2): np.inf}, None),
-    "conjugate-symmetric-inf-pair": ({(0, 1): np.inf, (1, 0): np.inf}, None),
-    "finite-pair-whose-difference-overflows": ({(0, 1): 1e308, (1, 0): -1e308}, ("inf", "inf")),
+    "nan-in-real-part": ({(0, 1): complex(np.nan, 0.0)}, FINITE),
+    "nan-in-imaginary-part": ({(0, 1): complex(0.0, np.nan)}, FINITE),
+    "inf-on-diagonal": ({(2, 2): np.inf}, FINITE),
+    "conjugate-symmetric-inf-pair": ({(0, 1): np.inf, (1, 0): np.inf}, FINITE),
+    "finite-pair-whose-difference-overflows": ({(0, 1): 1e308, (1, 0): -1e308}, TOO_LARGE),
     "asymmetry-1e-7": ({(0, 1): 1e-7j}, ("1.000e-07", "1.000000e-07")),
 }
 STATE_GUARD_MESSAGE = (
@@ -331,10 +347,9 @@ GUARD_ERRORS = {
 @pytest.mark.parametrize("function", GUARD_ERRORS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("entries, asymmetry", GUARD_INPUTS.values(), ids=GUARD_INPUTS)
 def test_raw_input_guard_errors_and_warnings(function, entries, asymmetry):
-    # one pass over the input: a non-finite entry still raises the finiteness error, and no
-    # input warns, not even the pair whose difference overflows
-    if asymmetry is None:
-        expected_type, message = ValueError, "matrix entries must be finite"
+    # the guard's refusal comes before the caller's own error, and no input warns
+    if isinstance(asymmetry, str):
+        expected_type, message = ValueError, asymmetry
     else:
         expected_type, template = GUARD_ERRORS[function]
         message = template.format(*asymmetry)
@@ -349,15 +364,43 @@ def test_raw_input_guard_errors_and_warnings(function, entries, asymmetry):
 OVERFLOWING = np.diag([0.25] * 4) + np.diag([-1.5e308] * 3, 1) + np.diag([-1.5e308] * 3, -1)
 
 
-def test_a_hermitian_part_without_a_spectrum_is_not_positive_semidefinite():
-    # (a + a†)/2 overflows to -inf, and LAPACK does not converge on it
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DensityMatrixError) as info:
-        validate_density(OVERFLOWING)
-    [(name, magnitude)] = info.value.violations
-    assert name == "positive semidefiniteness"
-    assert math.isnan(magnitude)
-    assert info.value.eigenvalues.shape == (4,)
-    assert np.isnan(info.value.eigenvalues).all()
+def test_a_matrix_whose_hermitian_part_overflows_is_refused_before_the_density_check():
+    # (a + a†)/2 would overflow to -inf; the guard refuses the matrix, not as a density matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            validate_density(OVERFLOWING)
+    assert type(info.value) is ValueError
+    assert str(info.value) == TOO_LARGE
+
+
+HUGE = np.full((4, 4), 1e308)  # finite and exactly Hermitian, but sum |a_ij|^2 overflows
+RAW_MATRIX_READERS = {
+    "wigner_grid": wigner_grid,
+    "wigner_su4": wigner_su4,
+    "wigner_pair_from_matrix": wigner_pair_from_matrix,
+    "fano_extract": fano_extract,
+    "bloch_vector": bloch_vector,
+    "xstate_from_matrix": xstate_from_matrix,
+    "purity": purity,
+    "state_overlap": lambda m: state_overlap(m, np.eye(4) / 4),
+    "super_fidelity": lambda m: super_fidelity(np.eye(4) / 4, m),
+    "positivity_inequalities": positivity_inequalities,
+    "hermitian_eigenvalues": hermitian_eigenvalues,
+    "validate_density": validate_density,
+    "trace_product": lambda m: trace_product(np.eye(4), m),
+    "DensityMatrix": DensityMatrix,
+}
+
+
+@pytest.mark.parametrize("reader", RAW_MATRIX_READERS.values(), ids=RAW_MATRIX_READERS)
+def test_every_raw_matrix_reader_refuses_entries_whose_squares_overflow(reader):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            reader(HUGE)
+    assert type(info.value) is ValueError
+    assert str(info.value) == TOO_LARGE
 
 
 def test_a_finite_hermitian_part_that_lapack_fails_on_raises(monkeypatch):

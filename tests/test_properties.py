@@ -1,14 +1,16 @@
 """Property tests of the phase-point kernel over random states, N = 2..8, of the pair grid, and of
 the coefficient-form grids of parameterised four-level states."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +19,8 @@ from dwigner import (
     DensityMatrixError,
     FanoCoefficients,
     XState,
+    bloch_vector,
+    fano_extract,
     fano_matrix,
     hermitian_eigenvalues,
     purity,
@@ -27,6 +31,7 @@ from dwigner import (
     wigner_pair,
     wigner_pair_from_matrix,
     wigner_su2,
+    wigner_su4,
     xstate_wigner,
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
@@ -99,6 +104,46 @@ def test_parseval(pair):
     assert abs(np.sum(grid * grid) / n - purity(rho)) < 1e-12
     overlap = np.trace(rho @ sigma).real
     assert abs(np.sum(grid * wigner_grid(sigma)) / n - overlap) < 1e-12
+
+
+def _scaled_hermitian(draw):
+    # an exactly Hermitian (a + a†) + I, scaled so that sum |rho_ij|^2 is 10^exponent
+    n, seed, exponent = draw
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = a + a.conj().T + np.eye(n)
+    return h * math.sqrt(10.0**exponent / np.vdot(h, h).real)
+
+
+large_hermitian_matrices = st.tuples(
+    st.sampled_from([2, 4, 8, 32]), st.integers(0, 2**32 - 1), st.floats(300.0, 307.0)
+).map(_scaled_hermitian)
+
+
+@PROPERTY_SETTINGS
+@given(large_hermitian_matrices)
+@example(_scaled_hermitian((32, 0, 307.0)))
+def test_matrices_the_guard_admits_have_finite_grids_coordinates_and_spectra(rho):
+    # sum |rho_ij|^2 up to 1e307, near the guard's bound: nothing the library computes overflows
+    n = rho.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = wigner_grid(rho)
+        values = [grid, hermitian_eigenvalues(rho), [purity(rho)]]
+        if n in (2, 4):
+            values.append(bloch_vector(rho))
+        if n == 4:
+            f = fano_extract(rho)
+            values += [wigner_su4(rho), wigner_pair_from_matrix(rho), f.a, f.b, f.c]
+        for v in values:
+            assert np.isfinite(v).all()
+        # the grid's sum of squares is n sum |rho_ij|^2, which overflows for n = 32 near 1e307
+        if math.isfinite(np.vdot(grid, grid)):
+            error = np.linalg.norm(reconstruct(grid) - rho)
+            assert error <= 1e-12 * np.linalg.norm(rho)
+        else:
+            with pytest.raises(ValueError, match="grid values are too large"):
+                reconstruct(grid)
 
 
 def _hermitian_unit_trace(parts):

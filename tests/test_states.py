@@ -413,6 +413,21 @@ def test_gisin_coherence_free_limit():
     np.testing.assert_allclose(xstate_delta(gisin(0.5, 0.2, 0.0)), 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "family, args, message",
+    [
+        (munro, (1.5,), "purity parameter must lie in"),
+        (munro, (-0.1,), "purity parameter must lie in"),
+        (peres_horodecki, (1.2,), "parameter must lie in"),
+        (gisin_from_combinations, (0.1, 0.1, 2.0), "mixing parameter must lie in"),
+    ],
+    ids=["munro-above-1", "munro-below-0", "peres-horodecki-above-1", "gisin-x-2"],
+)
+def test_family_parameters_outside_their_range_are_refused(family, args, message):
+    with pytest.raises(ValueError, match=message):
+        family(*args)
+
+
 def test_gisin_rejects_negative_population():
     with pytest.raises(ValueError, match="rho33"):
         gisin_from_combinations(0.7, 0.1, 1.0)

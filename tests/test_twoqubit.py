@@ -107,6 +107,18 @@ def test_fano_coefficients_reject_non_finite_fields(field, value):
         FanoCoefficients(**fields)
 
 
+@pytest.mark.parametrize(
+    "field, shape",
+    [("a", (2,)), ("b", (3, 1)), ("c", (9,)), ("c", (3, 4))],
+    ids=["a-2", "b-column", "c-flat", "c-3x4"],
+)
+def test_fano_coefficients_reject_fields_of_the_wrong_shape(field, shape):
+    fields = {"a": np.zeros(3), "b": np.zeros(3), "c": np.zeros((3, 3))}
+    fields[field] = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"expected shapes \(3,\), \(3,\), \(3, 3\)"):
+        FanoCoefficients(**fields)
+
+
 def test_fano_matrix_trivial():
     zero = FanoCoefficients(a=np.zeros(3), b=np.zeros(3), c=np.zeros((3, 3)))
     np.testing.assert_allclose(fano_matrix(zero), np.eye(4) / 4, atol=1e-15)
