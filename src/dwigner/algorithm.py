@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .generators import wigner_su4
-from .linalg import DEFAULT_TOLERANCE, _checked_tolerance
+from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_tolerance
 
 _FOURIER = 0.5 * np.array(
     [
@@ -53,15 +53,14 @@ def permutation_pulse(k: int) -> np.ndarray:
 
 
 def measure_probabilities(state, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Level populations |amplitude|^2 of a normalized four-level pure state."""
+    """Level populations |amplitude|^2 of a normalized four-level pure state; a non-finite total raises."""
     tol = _checked_tolerance(tol)
     s = np.asarray(state, dtype=complex)
     if s.shape != (4,):
         raise ValueError(f"expected a 4-component state vector, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError(f"amplitudes must be finite, got {s.tolist()}")
+    total = float(np.vdot(s, s).real)
+    _bounded(s, "amplitudes", total, shown=state)
     probabilities = np.abs(s) ** 2
-    total = float(np.sum(probabilities))
     if abs(total - 1.0) > tol:
         raise ValueError(f"state is not normalized: total probability {total}")
     return probabilities

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import MappingKernel, _clock_shift, _real_rows, wigner_grid
-from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
+from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_tolerance, hermitian_matrix
 
 
 def _gell_mann(n: int) -> tuple[np.ndarray, ...]:
@@ -250,13 +250,12 @@ def bloch_vector(rho) -> np.ndarray:
 
 
 def density_from_bloch(components, n: int) -> np.ndarray:
-    """Rebuild the matrix I/n + (1/2) sum_i components_i g_i; a NaN or infinite component raises."""
+    """Rebuild the matrix I/n + (1/2) sum_i components_i g_i; a non-finite sum of squares raises."""
     v = np.asarray(components, dtype=float)
     gs = generators(n)
     if v.shape != (len(gs),):
         raise ValueError(f"expected {len(gs)} components, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"components must be finite, got {v.tolist()}")
+    _bounded(v, "components", shown=components)
     return np.eye(n, dtype=complex) / n + 0.5 * np.einsum("i,iab->ab", v, gs.stack())
 
 
@@ -374,12 +373,14 @@ def wigner_su2(p) -> np.ndarray:
     """2x2 phase-space grid of a qubit state given its polarization vector.
 
     The grid is ``wigner_grid`` of I/2 + (1/2) p . sigma: at n = 2 the
-    phase-point kernel is the qubit convention.
+    phase-point kernel is the qubit convention.  A |P|^2 that is not
+    finite raises ``ValueError`` before the unit-ball check.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"expected a 3-component polarization vector, got shape {p.shape}")
-    norm_sq = float(p @ p)
+    norm_sq = float(np.vdot(p, p))
+    _bounded(p, "components", norm_sq, shown=p)
     if norm_sq > 1.0 + DEFAULT_TOLERANCE:
         raise ValueError(f"polarization vector lies outside the unit ball: |P|^2 = {norm_sq}")
     return wigner_grid(density_from_bloch(p, 2))

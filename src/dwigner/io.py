@@ -27,12 +27,12 @@ _SLOT_CONTEXT = {"csv": (",", "\n"), "json": (", ", "]"), "gnuplot": (" ", "\n")
 
 
 def serialize_matrix(m) -> str:
-    """Render a square complex matrix as a JSON object with keys dim/re/im."""
+    """Render a square complex matrix as a JSON object with keys dim/re/im; NaN or inf raises."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     doc = {"dim": int(a.shape[0]), "re": a.real.tolist(), "im": a.imag.tolist()}
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 def _check_matrix_rows(rows, key: str, dim: int) -> None:

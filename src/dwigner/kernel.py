@@ -114,8 +114,9 @@ class MappingKernel:
     every operator has unit trace, the family is trace-orthogonal with
     normalization Tr[G†(p) G(q)] = n * delta(p, q), and the average over
     all points is the identity; only that stack can be inverted by
-    ``reconstruct``.  ``kernel(n)`` carries ``factors`` instead of a
-    stack: ``wigner_grid`` and ``reconstruct`` evaluate it from them, and
+    ``reconstruct``.  A stack given as ``ops`` must pass the package's
+    acceptance rule, checked once.  ``kernel(n)`` carries ``factors`` instead
+    of a stack: ``wigner_grid`` and ``reconstruct`` evaluate it from them, and
     its read-only ``ops`` table is built only on first access.  Every
     stack in the package is C-contiguous, so the real (cells, 2 n^2) rows
     that ``wigner_grid`` contracts are a view of it, not a copy.
@@ -127,7 +128,7 @@ class MappingKernel:
         self.dim = dim
         self.factors = factors
         if ops is not None:
-            self.ops = ops  # shape (*grid, n, n)
+            self.ops = _bounded(ops, "cell operator entries")  # shape (*grid, n, n)
 
     @cached_property
     def ops(self) -> np.ndarray:
@@ -236,13 +237,13 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
 def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 
-    A grid whose sum of squares is not finite raises ``ValueError``.  Only the
-    trace-orthogonal ``kernel(n)`` is inverted; any other stack (the pair
-    or four-level closed-form stacks) raises.  The sum is the adjoint of
-    ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory: one DFT
-    product along nu, the cyclic convolution in mu with c through two DFT
-    products and the cached spectrum, and a scatter of each R[j, xi] back
-    to rho[j, (j + xi) mod n].  The steps are taken conjugated, so the
+    A grid whose sum W^2 / n, the sum |rho_ij|^2 of the matrix it maps, is
+    not finite raises ``ValueError``.  Only the trace-orthogonal ``kernel(n)``
+    is inverted; any other stack (the pair or four-level closed-form stacks)
+    raises.  The sum is the adjoint of ``wigner_grid``'s steps, in O(n^3)
+    time and O(n^2) memory: one DFT product along nu, the cyclic convolution
+    in mu with c through two DFT products and the cached spectrum, and a
+    scatter of each R[j, xi] back to rho[j, (j + xi) mod n].  The steps are taken conjugated, so the
     conjugate and the 1/n of the sum come from the cached ``adjoint``
     diagonal, with no pass of their own over the result.
     """
@@ -256,8 +257,9 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         raise ValueError("reconstruct inverts only the phase-point kernel kernel(n)")
     if kern.dim != w.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs grid {w.shape[0]}")
-    _bounded(w, "grid values")
     n = kern.dim
+    if not math.isfinite(np.vdot(w, w)):  # the rule holds sum W^2 / n, as n times it may overflow
+        _bounded(w / math.sqrt(n), "grid values")
     # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi)
     r = f.dft @ (f.adjoint * (f.dft_h @ w @ f.dft_h))
     rho = np.empty((n, n), dtype=complex)
@@ -281,8 +283,8 @@ def grid_overlap(wa, wb) -> float:
     and rejects any other shape; the normalization is 1/sqrt(number of
     cells).  The sum of products is one ``vdot``, with no temporary
     product grid; a grid in any memory order (a transposed or strided
-    view) pairs its values by index.  A NaN or infinite grid value, or an
-    overlap too large for a float, raises ``ValueError``.
+    view) pairs its values by index.  An overlap that is not finite
+    raises ``ValueError``, naming a NaN or infinite value or finite ones too large.
     """
     a = _check_grid(wa)
     b = _check_grid(wb)
@@ -291,5 +293,6 @@ def grid_overlap(wa, wb) -> float:
     weight = round(a.size**0.5)
     overlap = float(np.vdot(a, b) / weight)
     if not math.isfinite(overlap):
-        raise ValueError(f"grid values must be finite; their overlap is {overlap}")
+        # |sum a b| <= (sum a^2 + sum b^2) / 2: the two grids together fail the rule
+        _bounded(np.concatenate((a, b), axis=None), "grid values", overlap)
     return overlap

@@ -31,11 +31,12 @@ def _square_matrix(m) -> np.ndarray:
     return a
 
 
-def _bounded(a: np.ndarray, what: str) -> np.ndarray:
-    # as_matrix's rule, for a matrix or a grid: one BLAS vdot; the isfinite pass only names the fault
-    if not math.isfinite(np.vdot(a, a).real):
+def _bounded(a, what: str, total: float | None = None, shown=None):
+    # the one acceptance rule of every array input: sum |a_i|^2 (``total``, else one BLAS vdot, which
+    # never warns) is finite; isfinite only names the fault, echoing ``shown`` for a NaN or inf
+    if not math.isfinite(np.vdot(a, a).real if total is None else total):
         if not np.isfinite(a).all():
-            raise ValueError(f"{what} must be finite")
+            raise ValueError(f"{what} must be finite" + ("" if shown is None else f", got {shown}"))
         raise ValueError(f"{what} are too large: the sum of their squared magnitudes overflows")
     return a
 
@@ -226,15 +227,19 @@ class PositivityReport:
 
 
 def positivity_inequalities(rho, tol: float = DEFAULT_TOLERANCE) -> PositivityReport:
-    """Evaluate the three trace-moment inequalities for a Hermitian 4x4 matrix."""
+    """Evaluate the three trace-moment inequalities for a Hermitian 4x4 matrix; a moment too large reads inf."""
     tol = _checked_tolerance(tol)
     a = hermitian_matrix(rho)
     if a.shape[0] != 4:
         raise ValueError(f"dimension must be 4, got {a.shape[0]}")
-    a2 = a @ a
-    p2 = float(np.real(np.trace(a2)))
-    p3 = float(np.real(np.trace(a2 @ a)))
-    p4 = float(np.real(np.trace(a2 @ a2)))
+    # the moments of a / s, s the least power of two >= 1 with sum |a_ij / s|^2 <= 1, scaled back
+    # exactly in Python floats, which overflow to inf with no warning
+    s = 2.0 ** max(0, (math.frexp(np.vdot(a, a).real)[1] + 1) // 2)
+    b = a / s
+    b2 = b @ b
+    p2 = float(np.real(np.trace(b2))) * s * s
+    p3 = float(np.real(np.trace(b2 @ b))) * s * s * s
+    p4 = float(np.real(np.trace(b2 @ b2))) * s * s * s * s
     return PositivityReport(
         trace_sq=p2,
         trace_cube=p3,

@@ -18,13 +18,12 @@ the same basis, which is orthogonal.
 from __future__ import annotations
 
 import dataclasses
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .kernel import _real_rows
-from .linalg import DEFAULT_TOLERANCE, _checked_tolerance, hermitian_matrix
+from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_tolerance, hermitian_matrix
 from .twoqubit import _FIRST, _HALVES, _SECOND, _fano_grid, _grid, _qubit, _signature, _stacked_map
 from .twoqubit import FanoCoefficients, fano_matrix, wigner_pair
 
@@ -39,15 +38,8 @@ def _bell_sign(kind: str) -> tuple[str, float]:
 
 
 def bell(kind: str) -> np.ndarray:
-    """Density matrix of one of the four maximally entangled pair states."""
-    family, sign = _bell_sign(kind)
-    ket = np.zeros(4, dtype=complex)
-    if family == "phi":
-        ket[0], ket[3] = 1.0, sign  # (|00> ± |11>) / sqrt 2
-    else:
-        ket[1], ket[2] = 1.0, sign  # (|01> ± |10>) / sqrt 2
-    ket /= np.sqrt(2.0)
-    return np.outer(ket, ket.conj())
+    """Density matrix of one of the four maximally entangled pair states, with entries +-1/2 and 0."""
+    return fano_matrix(bell_fano(kind))
 
 
 def bell_fano(kind: str) -> FanoCoefficients:
@@ -121,12 +113,13 @@ _FIELD_PARTS.flags.writeable = False
 class XState:
     """State whose matrix is supported on the main diagonal and antidiagonal.
 
-    Construction checks that every field is finite, that the populations
-    are real, nonnegative (within ``DEFAULT_TOLERANCE``) and sum to one
-    (within 1e-9), and stores the eight real fields as one read-only
-    vector t = [rho11, rho22, rho33, rho44, Re rho14, Im rho14, Re rho23,
-    Im rho23] (private ``_vector``); every grid, marginal and signature is
-    the cached map ``_xstate_map(rep)`` times t.  The antidiagonal 2x2
+    Construction checks the package's acceptance rule (the fields' sum of
+    squared magnitudes is finite), that the populations are real, nonnegative
+    (within ``DEFAULT_TOLERANCE``) and sum to one (within 1e-9), and stores
+    the eight real fields as one read-only vector t = [rho11, rho22, rho33,
+    rho44, Re rho14, Im rho14, Re rho23, Im rho23] (private ``_vector``);
+    every grid, marginal and signature is the cached map ``_xstate_map(rep)``
+    times t.  The antidiagonal 2x2
     blocks are not required to be positive (``is_physical`` reports
     whether they are, and ``validate_density(x.matrix())`` refuses them
     when not), so coherence choices outside the state space stay
@@ -143,8 +136,7 @@ class XState:
     def __post_init__(self):
         fields = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
         parts = np.array(fields, dtype=complex).view(float)
-        if not all(map(math.isfinite, parts.tolist())):
-            raise ValueError(f"X-state fields must be finite, got {fields}")
+        _bounded(parts, "X-state fields", shown=fields)
         # Python and numpy reals cannot make the populations complex; anything else is asked
         if not all(isinstance(p, (float, int)) for p in fields[:4]) and np.iscomplexobj(fields[:4]):
             raise ValueError(f"populations must be real, got {fields[:4]}")
@@ -254,7 +246,7 @@ def xstate_wigner(x: XState, rep: str = "su4") -> np.ndarray:
     Re rho14, Im rho14, Re rho23, Im rho23], so it is the grid rows of the
     real (24, 8) map ``_xstate_map(rep)``, built from the stack on first
     use and cached, times t.  No matrix is composed, and no Hermiticity
-    guard runs: ``XState`` has already refused non-finite fields.
+    guard runs: ``XState`` has already held its fields to the rule.
     """
     return _grid(_xstate_map(rep).dot(x._vector), rep)
 

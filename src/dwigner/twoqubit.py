@@ -25,14 +25,15 @@ import numpy as np
 
 from .generators import density_from_bloch, generators, su4_kernel
 from .kernel import MappingKernel, _real_rows, kernel, wigner_grid
-from .linalg import DensityMatrix, hermitian_matrix, validate_density
+from .linalg import DensityMatrix, _bounded, hermitian_matrix, validate_density
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FanoCoefficients:
     """Polarizations ``a`` (qubit 1), ``b`` (qubit 2) and correlations ``c``.
 
-    Construction checks the shapes and that every entry is finite, and
+    Construction checks the shapes and that sum t_k^2 is finite (the
+    package's acceptance rule, which names a field that fails it), and
     copies the fields once into the stored read-only Fano vector
     t = [1, a, b, vec c] (private ``_vector``); ``a``, ``b`` and ``c`` are
     read-only views of it, so later writes to the caller's arrays do not
@@ -59,13 +60,14 @@ class FanoCoefficients:
 
     def _adopt(self, t: np.ndarray) -> None:
         # take t = [1, a, b, vec c] as the stored vector: frozen first, so the fields made views of
-        # it are read-only too, and checked finite in one pass (the field is named only when it fails)
+        # it are read-only too, and held to the acceptance rule (the field is named only when it fails)
         t.flags.writeable = False
         a, b, c = t[1:4], t[4:7], t[7:].reshape(3, 3)
-        if not all(map(math.isfinite, t.tolist())):
+        total = np.vdot(t, t)
+        if not math.isfinite(total):
             for arr, name in ((a, "a"), (b, "b"), (c, "c")):
-                if not all(map(math.isfinite, arr.ravel().tolist())):
-                    raise ValueError(f"Fano coefficients {name!r} must be finite, got {arr.tolist()}")
+                _bounded(arr, f"Fano coefficients {name!r}", shown=arr.tolist())
+            _bounded(t, "Fano coefficients", total)
         object.__setattr__(self, "_vector", t)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -232,7 +234,7 @@ def wigner_pair(f: FanoCoefficients) -> np.ndarray:
     t = [1, a, b, vec c], so it is the grid rows of the real (24, 16) map
     ``_fano_map("pair")``, built from ``pair_kernel()`` on first use and
     cached, times t.  No matrix is composed, and no Hermiticity guard runs:
-    ``FanoCoefficients`` has already refused non-finite fields.
+    ``FanoCoefficients`` has already held t to the acceptance rule.
     """
     return _fano_grid(f, "pair")
 
@@ -286,5 +288,5 @@ def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
 
 
 def density_from_su4_coefficients(coeffs) -> np.ndarray:
-    """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4; a NaN or infinite coefficient raises."""
+    """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4; a non-finite sum of squares raises."""
     return density_from_bloch(np.asarray(coeffs, dtype=float) / 2.0, 4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,11 @@ def test_measure_probabilities_rejects_unnormalized():
 def test_measure_probabilities_rejects_non_finite_amplitudes(amplitude):
     with pytest.raises(ValueError, match="finite"):
         measure_probabilities([amplitude, 0, 0, 0])
+
+
+@pytest.mark.parametrize("amplitude", (1e308, complex(0.0, 1e308), 1e200))
+def test_measure_probabilities_refuses_finite_amplitudes_whose_squares_overflow(amplitude):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="amplitudes are too large: the sum of their squared magnitudes overflows"):
+            measure_probabilities([amplitude, 0, 0, 0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,13 @@ def test_wigner_su2_rejects_non_finite_vectors():
         wigner_su2([np.nan] * 3)
 
 
+def test_wigner_su2_refuses_finite_vectors_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="components are too large: the sum of their squared magnitudes"):
+            wigner_su2([1e308] * 3)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_density_from_bloch_rejects_non_finite_components(n, value):
@@ -298,6 +307,17 @@ def test_density_from_bloch_rejects_non_finite_components(n, value):
     components[0] = value
     with pytest.raises(ValueError, match="finite"):
         density_from_bloch(components, n)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e200])
+def test_density_from_bloch_refuses_finite_components_whose_squares_overflow(n, value):
+    components = np.zeros(n * n - 1)
+    components[-1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="components are too large: the sum of their squared magnitudes"):
+            density_from_bloch(components, n)
 
 
 @pytest.mark.parametrize("n, count", [(2, 4), (4, 3)])

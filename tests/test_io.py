@@ -72,6 +72,15 @@ def test_parse_matrix_rejects_non_finite_entries(re, im):
         parse_matrix(f'{{"dim":1,"re":[[{re}]],"im":[[{im}]]}}')
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(0.0, -np.inf)])
+def test_serialize_matrix_refuses_non_finite_entries(value):
+    # JSON has no token for them that parse_matrix reads back, so no text is written
+    m = np.eye(2, dtype=complex) / 2
+    m[1, 0] = value
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        serialize_matrix(m)
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
 def test_serialize_matrix_rejects_a_non_square_array(shape):
     with pytest.raises(ValueError) as info:

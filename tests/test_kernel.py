@@ -71,6 +71,24 @@ def test_mapping_kernel_carries_either_a_stack_or_factors(fields):
         MappingKernel(2, **fields)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.nan, "cell operator entries must be finite"),
+        (complex(0.0, np.inf), "cell operator entries must be finite"),
+        (1e308, "cell operator entries are too large: the sum of their squared magnitudes overflows"),
+    ],
+    ids=["nan", "infinite-imaginary-part", "squares-overflow"],
+)
+def test_mapping_kernel_refuses_a_stack_that_fails_the_rule(value, message):
+    ops = kernel(2).ops.copy()
+    ops[1, 0, 0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            MappingKernel(2, ops=ops)
+
+
 def test_symmetrized_basis_identity_point():
     np.testing.assert_allclose(symmetrized_basis(0, 0, 4), np.eye(4) / 2, atol=1e-15)
 
@@ -441,6 +459,18 @@ def test_overlap_rejects_non_finite_grids(value):
         grid_overlap(pair, np.full((2, 2, 2, 2), 0.25))
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_overlap_refuses_finite_grids_whose_overlap_overflows(value):
+    pair = np.full((2, 2, 2, 2), 0.25)
+    pair[0, 1, 1, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid values are too large"):
+            grid_overlap(np.full((2, 2), value), np.full((2, 2), value))
+        with pytest.raises(ValueError, match="grid values are too large"):
+            grid_overlap(pair, pair.T)
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_reconstruct_rejects_non_finite_grids(n, value):
@@ -450,6 +480,30 @@ def test_reconstruct_rejects_non_finite_grids(n, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             reconstruct(grid)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_reconstruct_refuses_finite_grids_whose_squares_overflow(n):
+    grid = np.full((n, n), 1.0 / n)
+    grid[n - 1, 1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid values are too large: the sum of their squared magnitudes"):
+            reconstruct(grid)
+
+
+def test_reconstruct_inverts_a_grid_whose_squares_overflow_when_the_state_s_do_not():
+    # sum W^2 = 32 sum |rho_ij|^2 overflows for sum |rho_ij|^2 = 1e307; the state passes the rule
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    h = a + a.conj().T
+    rho = h * math.sqrt(1e307 / np.vdot(h, h).real)
+    grid = wigner_grid(rho)
+    assert not math.isfinite(np.vdot(grid, grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = reconstruct(grid)
+    assert np.linalg.norm(back - rho) <= 1e-12 * np.linalg.norm(rho)
 
 
 @pytest.mark.parametrize("n", range(2, 33))

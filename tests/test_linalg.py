@@ -212,6 +212,29 @@ def test_positivity_detects_small_negative_eigenvalue():
     assert not report.all_hold
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 3.0, 1e10, 1e50, 1e75])
+def test_trace_moments_are_the_unscaled_ones_bit_for_bit(rng, scale):
+    # the moments are taken of the matrix over a power of two and scaled back, exactly
+    for _ in range(20):
+        a = random_hermitian_unit_trace(rng, 4) * scale
+        a = (a + a.conj().T) / 2
+        a2 = a @ a
+        report = positivity_inequalities(a)
+        assert report.trace_sq == float(np.real(np.trace(a2)))
+        assert report.trace_cube == float(np.real(np.trace(a2 @ a)))
+        assert report.trace_fourth == float(np.real(np.trace(a2 @ a2)))
+
+
+@pytest.mark.parametrize("entry", [1e100, 1e150, -1e150])
+def test_trace_moments_that_overflow_read_inf_with_no_warning(entry):
+    a = np.diag([0.25] * 4) + np.diag([entry] * 3, 1) + np.diag([entry] * 3, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = positivity_inequalities(a)
+    assert report.trace_fourth == np.inf
+    assert np.isfinite(report.trace_sq)
+
+
 def test_positivity_wrong_dimension():
     with pytest.raises(ValueError, match="dimension"):
         positivity_inequalities(np.eye(3) / 3)

@@ -20,18 +20,24 @@ from dwigner import (
     FanoCoefficients,
     XState,
     bloch_vector,
+    delta_pair,
     fano_extract,
     fano_matrix,
     hermitian_eigenvalues,
     purity,
     reconstruct,
+    reduced_wigner,
     schwinger_pair,
+    su4_coefficients,
     validate_density,
     wigner_grid,
     wigner_pair,
     wigner_pair_from_matrix,
     wigner_su2,
     wigner_su4,
+    xstate_delta,
+    xstate_marginals,
+    xstate_reduced_wigner,
     xstate_wigner,
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
@@ -137,13 +143,55 @@ def test_matrices_the_guard_admits_have_finite_grids_coordinates_and_spectra(rho
             values += [wigner_su4(rho), wigner_pair_from_matrix(rho), f.a, f.b, f.c]
         for v in values:
             assert np.isfinite(v).all()
-        # the grid's sum of squares is n sum |rho_ij|^2, which overflows for n = 32 near 1e307
-        if math.isfinite(np.vdot(grid, grid)):
-            error = np.linalg.norm(reconstruct(grid) - rho)
-            assert error <= 1e-12 * np.linalg.norm(rho)
-        else:
-            with pytest.raises(ValueError, match="grid values are too large"):
-                reconstruct(grid)
+        # the grid's sum of squares is n sum |rho_ij|^2, which overflows for n = 32 near 1e307;
+        # reconstruct holds the grid to the rule of the state, so the round trip still holds
+        error = np.linalg.norm(reconstruct(grid) - rho)
+        assert error <= 1e-12 * np.linalg.norm(rho)
+
+
+def _scaled_vector(draw):
+    # a random vector of the given length, scaled so that its sum of squares is 10^exponent
+    length, seed, exponent = draw
+    v = np.random.default_rng(seed).normal(size=length)
+    return v * math.sqrt(10.0**exponent / np.vdot(v, v))
+
+
+def _large(length):
+    return st.tuples(st.just(length), st.integers(0, 2**32 - 1), st.floats(300.0, 307.0)).map(_scaled_vector)
+
+
+@PROPERTY_SETTINGS
+@given(_large(15), _large(4), hnp.arrays(float, 4, elements=st.floats(0.01, 1.0)))
+def test_coordinate_vectors_the_rule_admits_have_finite_grids(fano, coherences, weights):
+    # sum t_k^2 up to 1e307, near the rule's bound, held by the Fano vector and by the X vector's
+    # coherences (its populations are at most 1): no map of either overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = FanoCoefficients(a=fano[:3], b=fano[3:6], c=fano[6:].reshape(3, 3))
+        x = XState(
+            *(weights / weights.sum()),
+            rho14=complex(coherences[0], coherences[1]),
+            rho23=complex(coherences[2], coherences[3]),
+        )
+        marginals = xstate_marginals(x)
+        values = [
+            wigner_pair(f),
+            _fano_grid(f, "su4"),
+            reduced_wigner(f, 1),
+            reduced_wigner(f, 2),
+            delta_pair(f),
+            su4_coefficients(f),
+            fano_matrix(f),
+            xstate_wigner(x, "su4"),
+            xstate_wigner(x, "pair"),
+            xstate_reduced_wigner(x, 1),
+            xstate_reduced_wigner(x, 2),
+            xstate_delta(x),
+            marginals.mu_marginal,
+            marginals.nu_marginal,
+        ]
+        for v in values:
+            assert np.isfinite(v).all()
 
 
 def _hermitian_unit_trace(parts):

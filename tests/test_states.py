@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,18 @@ def test_xstate_population_validation():
         XState(-0.1, 0.6, 0.3, 0.2)
     with pytest.raises(ValueError, match="sum"):
         XState(0.5, 0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(0.5, 0.0, 0.0, 0.5, 1e308), (0.5, 0.0, 0.0, 0.5, 0.0, complex(1e200, 1e200))],
+    ids=["rho14", "rho23"],
+)
+def test_xstate_refuses_finite_fields_whose_squares_overflow(fields):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="X-state fields are too large: the sum of their squared magnitudes"):
+            XState(*fields)
 
 
 def test_xstate_rejects_non_finite_fields():

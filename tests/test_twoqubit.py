@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,13 @@ def test_density_from_su4_coefficients_rejects_non_finite_coefficients(value):
         density_from_su4_coefficients([value] * 15)
 
 
+def test_density_from_su4_coefficients_refuses_finite_coefficients_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="components are too large: the sum of their squared magnitudes"):
+            density_from_su4_coefficients([1e308] * 15)
+
+
 def test_pair_index_map():
     assert pair_index(0, 0) == 0
     assert pair_index(0, 1) == 1
@@ -360,10 +368,27 @@ def test_bell_fano_is_cached_and_cannot_be_mutated(kind):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["a", "b", "c"])
 def test_fano_coefficients_name_the_non_finite_field(field, value):
-    fields = {"a": np.zeros(3), "b": np.full(3, 1e308), "c": np.full((3, 3), -1e308)}
-    FanoCoefficients(**fields)  # large finite entries are accepted
+    fields = {"a": np.zeros(3), "b": np.full(3, 1e150), "c": np.full((3, 3), -1e150)}
+    FanoCoefficients(**fields)  # large entries whose squares sum to a finite value are accepted
     fields[field] = fields[field].copy()
     fields[field].flat[-1] = value
     with pytest.raises(ValueError) as info:
         FanoCoefficients(**fields)
     assert str(info.value) == f"Fano coefficients {field!r} must be finite, got {fields[field].tolist()}"
+
+
+@pytest.mark.parametrize("field", ["a", "b", "c", None])
+def test_fano_coefficients_refuse_finite_fields_whose_squares_overflow(field):
+    # a field of 1e308 is named; 1e154 in each of a and b overflows only in the sum over both
+    fields = {"a": np.zeros(3), "b": np.full(3, 1e150), "c": np.full((3, 3), -1e150)}
+    if field is None:
+        fields["a"] = fields["b"] = np.array([1e154, 0.0, 0.0])
+    else:
+        fields[field] = fields[field].copy()
+        fields[field].flat[-1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            FanoCoefficients(**fields)
+    name = "" if field is None else f" {field!r}"
+    assert str(info.value) == f"Fano coefficients{name} are too large: the sum of their squared magnitudes overflows"
