@@ -7,9 +7,10 @@ diagonal diag(1, ..., 1, -l, 0, ...) divided by sqrt(l(l+1)/2).  The
 Pauli matrices ``PAULI_X, PAULI_Y, PAULI_Z`` are ``generators(2)``.
 
 Covers the algebraic law checks (orthonormality, closure, Jacobi
-identities, trace products), Bloch vectors, phase-space representatives
-of each generator, the four-level cell-operator stack built from them,
-and the qubit and four-level phase-space grids.
+identities, trace products), Bloch vectors, the four-level cell-operator
+stack as one closed-form array expression, the phase-space
+representatives of each generator read back from it (the qubit ones are
+parities), and the qubit and four-level phase-space grids.
 """
 
 from __future__ import annotations
@@ -126,10 +127,21 @@ _SU4_CLOCK_SHIFT_TERMS = (
 )
 
 
+def _generator_index(name: str, value, count: int | None = None) -> None:
+    # one check for every generator and grid index: an integer that is not a bool, and,
+    # where a count is given, a generator index in [0, count)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count is not None and not 0 <= value < count:
+        raise IndexError(f"generator index {value} out of range [0, {count})")
+
+
 def generator_from_schwinger(i: int) -> np.ndarray:
-    """Dimension-4 generator i (0-based) built from its clock/shift polynomial."""
-    if not 0 <= i < 15:
-        raise IndexError(f"generator index {i} out of range [0, 15)")
+    """Dimension-4 generator i (0-based) built from its clock/shift polynomial.
+
+    A bool or non-integer i raises ValueError, an integer outside [0, 15) IndexError.
+    """
+    _generator_index("i", i, 15)
     return sum(coeff * _clock_shift(eta, xi, 4) for coeff, eta, xi in _SU4_CLOCK_SHIFT_TERMS[i])
 
 
@@ -259,112 +271,66 @@ def density_from_bloch(components, n: int) -> np.ndarray:
     return np.eye(n, dtype=complex) / n + 0.5 * np.einsum("i,iab->ab", v, gs.stack())
 
 
-def _mu_ratio(mu: int, half_offset: float) -> float:
-    # Dirichlet-type ratio sin(4x)/sin(x) at x = (mu - half_offset) * pi/4;
+def _mu_ratio(mu, half_offset):
+    # Dirichlet-type ratio sin(4x)/sin(x) at x = (mu - half_offset) * pi/4, elementwise;
     # half-integer offsets keep the denominator nonzero at integer mu.
     x = (mu - half_offset) * np.pi / 4.0
-    return float(np.sin(4.0 * x) / np.sin(x))
-
-
-def _cos_half(nu: int) -> float:
-    return float((1, 0, -1, 0)[nu % 4])
-
-
-def _sin_half(nu: int) -> float:
-    return float((0, 1, 0, -1)[nu % 4])
-
-
-def _alternating(nu: int) -> float:
-    return float(1 - 2 * (nu % 2))
-
-
-def _delta4(mu: int, k: int) -> float:
-    return 1.0 if mu % 4 == k else 0.0
-
-
-def generator_representative(i: int, mu: int, nu: int, dim: int = 4) -> float:
-    """Phase-space representative of generator i in closed form.
-
-    Total over all integer points: the grid indices enter through their
-    residues modulo the dimension, and a non-integer index raises
-    ValueError.  For dimension 4 these are the standard closed forms of
-    the four-level convention; the diagonal generators agree with the
-    invertible kernel while coherence sectors deviate from it (that
-    convention is not informationally complete).
-    """
-    if dim not in (2, 4):
-        raise ValueError(f"unsupported dimension {dim}; expected 2 or 4")
-    for name, value in (("i", i), ("mu", mu), ("nu", nu)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    mu %= dim
-    nu %= dim
-    if dim == 2:
-        if not 0 <= i < 3:
-            raise IndexError(f"generator index {i} out of range [0, 3)")
-        return (
-            _alternating(nu),
-            _alternating(mu + nu + 1),
-            _alternating(mu),
-        )[i]
-    if not 0 <= i < 15:
-        raise IndexError(f"generator index {i} out of range [0, 15)")
-    if i == 0:
-        return 0.5 * _cos_half(nu) * _mu_ratio(mu, 0.5)
-    if i == 1:
-        return 0.5 * _sin_half(nu) * _mu_ratio(mu, 0.5)
-    if i == 2:
-        return _delta4(mu, 0) - _delta4(mu, 1)
-    if i == 3:
-        return 2.0 * _alternating(nu) * _delta4(mu, 1)
-    if i == 4:
-        return 0.0  # 2 sin(nu pi) vanishes at every integer point
-    if i == 5:
-        return 0.5 * _cos_half(nu) * _mu_ratio(mu, 1.5)
-    if i == 6:
-        return 0.5 * _sin_half(nu) * _mu_ratio(mu, 1.5)
-    if i == 7:
-        return (_delta4(mu, 0) + _delta4(mu, 1) - 2.0 * _delta4(mu, 2)) / np.sqrt(3)
-    if i == 8:
-        return 0.5 * _alternating(nu) * _cos_half(nu) * _mu_ratio(mu, 1.5)
-    if i == 9:
-        return 0.5 * _alternating(nu) * _sin_half(nu) * _mu_ratio(mu, 1.5)
-    if i == 10:
-        return 2.0 * _alternating(nu) * _delta4(mu, 2)
-    if i == 11:
-        return 0.0  # 2 sin(nu pi) vanishes at every integer point
-    if i == 12:
-        return 0.5 * _cos_half(nu) * _mu_ratio(mu, 2.5)
-    if i == 13:
-        return 0.5 * _sin_half(nu) * _mu_ratio(mu, 2.5)
-    return (
-        _delta4(mu, 0) + _delta4(mu, 1) + _delta4(mu, 2) - 3.0 * _delta4(mu, 3)
-    ) / np.sqrt(6)
+    return np.sin(4.0 * x) / np.sin(x)
 
 
 @lru_cache(maxsize=None)
 def _representative_table(dim: int) -> np.ndarray:
-    count = dim * dim - 1
-    table = np.zeros((count, dim, dim))
-    for i in range(count):
-        for mu in range(dim):
-            for nu in range(dim):
-                table[i, mu, nu] = generator_representative(i, mu, nu, dim)
+    # R[i, mu, nu] over the grid window: the qubit parities, or Tr[g_i A(mu, nu)] of the su4 stack
+    if dim == 2:
+        mu, nu = np.indices((2, 2))
+        table = 1.0 - 2.0 * (np.stack([nu, mu + nu + 1, mu]) % 2)
+    else:
+        table = (_real_rows(generators(4).stack()) @ _real_rows(su4_kernel().ops).T).reshape(15, 4, 4)
     table.flags.writeable = False
     return table
 
 
+def generator_representative(i: int, mu: int, nu: int, dim: int = 4) -> float:
+    """Phase-space representative R_i(mu, nu) of generator i, read from the convention's table.
+
+    Total over all integer points: the grid indices enter through their
+    residues modulo the dimension.  A bool or non-integer index raises
+    ValueError, a generator index outside [0, dim^2 - 1) IndexError.  For
+    dimension 2 these are the parities (-1)^nu, (-1)^(mu + nu + 1), (-1)^mu;
+    for dimension 4, R_i = Tr[g_i A(mu, nu)] over the cell operators of
+    ``su4_kernel()``, the standard closed forms of the four-level convention.
+    The diagonal generators agree with the invertible kernel while coherence
+    sectors deviate from it (that convention is not informationally complete).
+    """
+    if dim not in (2, 4):
+        raise ValueError(f"unsupported dimension {dim}; expected 2 or 4")
+    for name, value in (("i", i), ("mu", mu), ("nu", nu)):
+        _generator_index(name, value)
+    _generator_index("i", i, dim * dim - 1)
+    return float(_representative_table(dim)[i, mu % dim, nu % dim])
+
+
 @lru_cache(maxsize=None)
 def su4_kernel() -> MappingKernel:
-    """Cell operators I/4 + (1/2) sum_i R_i(mu, nu) g_i of the four-level closed form.
+    """Cell operators of the four-level closed form, one array expression over (mu, nu, k, l).
 
-    R_i is the closed-form representative of generator i.  Every operator
-    is Hermitian with unit trace, but the family is not trace-orthogonal:
-    its span has dimension 12 of 16 (see ``wigner_su4``).
+    A(mu, nu)[k, l] = (1/4) D(mu - (k + l)/2) i^(-nu (l - k)), where D(x) is
+    sin(pi x) / sin(pi x / 4) when k + l is odd, and exactly 4 at x = 0 and 0
+    elsewhere when k + l is even; i^(-m) is read from the exact table
+    (1, -i, -1, i).  This is I/4 + (1/2) sum_i R_i(mu, nu) g_i with R_i the
+    closed-form representatives (``generator_representative``).  Every
+    operator is exactly Hermitian with trace exactly 1 and diagonal
+    delta(mu, k), but the family is not trace-orthogonal: its span has
+    dimension 12 of 16 (see ``wigner_su4``).
     """
-    ops = np.eye(4) / 4.0 + 0.5 * np.einsum(
-        "imn,iab->mnab", _representative_table(4), generators(4).stack()
-    )
+    mu = np.arange(4).reshape(4, 1, 1, 1)
+    nu = np.arange(4).reshape(1, 4, 1, 1)
+    k, l = np.indices((4, 4))
+    odd = (k + l) % 2 == 1
+    # the even cells get a half-integer offset too, so the ratio never divides 0 by 0
+    ratio = _mu_ratio(mu, np.where(odd, (k + l) / 2, 0.5))
+    d = np.where(odd, ratio, np.where(2 * mu == k + l, 4.0, 0.0))
+    ops = 0.25 * d * np.array([1, -1j, -1, 1j])[(nu * (l - k)) % 4]
     ops.flags.writeable = False
     return MappingKernel(dim=4, ops=ops)
 
@@ -389,6 +355,9 @@ def wigner_su2(p) -> np.ndarray:
 def wigner_su4(rho) -> np.ndarray:
     """4x4 phase-space grid of a four-level state, Tr[A(mu, nu) rho] over ``su4_kernel()``.
 
+    With A(mu, nu)[k, l] = (1/4) D(mu - (k + l)/2) i^(-nu (l - k)), a cell is
+    W(mu, nu) = (1/4) sum_kl D(mu - (k + l)/2) i^(-nu (l - k)) rho[l, k]
+    (``su4_kernel`` defines D).
     Agrees with the kernel-trace evaluation Tr[G†(mu, nu) rho] of
     ``kernel(4)`` on diagonal states, and for every state both grids have
     the populations as mu-marginals, (1/4) sum_nu W(mu, nu) = rho[mu, mu].

@@ -283,6 +283,22 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, rng):
             validate_density(parse_matrix(out))
 
 
+def test_readme_library_example_runs_and_states_its_extremes(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert capsys.readouterr().out
+    grid_line, delta_line = (line for line in block.splitlines() if line.startswith("print("))
+    # the comments state the grid's max as an expression in sqrt and sqrt2, the signature's as ±x
+    stated_max = eval(grid_line.split(", max ", 1)[1], {"sqrt": np.sqrt, "sqrt2": np.sqrt(2)})
+    extreme = float(delta_line.split("±", 1)[1])
+    grid = wigner_su4(namespace["rho"])
+    assert np.max(grid) == pytest.approx(stated_max, abs=1e-12)
+    delta = namespace["xstate_delta"](namespace["xstate_from_matrix"](namespace["rho"]))
+    assert (round(float(np.max(delta)), 3), round(float(np.min(delta)), 3)) == (extreme, -extreme)
+
+
 @pytest.mark.parametrize("name", ["gisin:a=0.8,b=0.6,x=1", "gisin:s=0.28,p=0.48,x=1"])
 @pytest.mark.parametrize("emit", ["matrix", "wigner"])
 def test_state_refuses_a_gisin_state_outside_the_coherence_bound(capsys, name, emit):

@@ -5,6 +5,7 @@ import pytest
 
 from dwigner import (
     GeneratorSet,
+    bell,
     bloch_vector,
     density_from_bloch,
     generator_from_schwinger,
@@ -266,6 +267,133 @@ def test_closed_form_representatives_are_not_a_tight_frame():
     np.testing.assert_allclose(norms[[3, 10]], 4.0, atol=1e-12)
     others = [i for i in range(15) if i not in (3, 4, 10, 11)]
     np.testing.assert_allclose(norms[others], 2.0, atol=1e-12)
+
+
+# The four-level convention written out generator by generator, with the
+# qubit parities: the test oracle for the tables generator_representative
+# reads (su4_kernel()'s stack at dimension 4).
+def _cos_half(nu):
+    return float((1, 0, -1, 0)[nu % 4])
+
+
+def _sin_half(nu):
+    return float((0, 1, 0, -1)[nu % 4])
+
+
+def _alternating(nu):
+    return float(1 - 2 * (nu % 2))
+
+
+def _delta4(mu, k):
+    return 1.0 if mu % 4 == k else 0.0
+
+
+def _closed_form_representative(i, mu, nu):
+    from dwigner.generators import _mu_ratio
+
+    mu %= 4
+    nu %= 4
+    forms = (
+        lambda: 0.5 * _cos_half(nu) * _mu_ratio(mu, 0.5),
+        lambda: 0.5 * _sin_half(nu) * _mu_ratio(mu, 0.5),
+        lambda: _delta4(mu, 0) - _delta4(mu, 1),
+        lambda: 2.0 * _alternating(nu) * _delta4(mu, 1),
+        lambda: 0.0,  # 2 sin(nu pi) vanishes at every integer point
+        lambda: 0.5 * _cos_half(nu) * _mu_ratio(mu, 1.5),
+        lambda: 0.5 * _sin_half(nu) * _mu_ratio(mu, 1.5),
+        lambda: (_delta4(mu, 0) + _delta4(mu, 1) - 2.0 * _delta4(mu, 2)) / np.sqrt(3),
+        lambda: 0.5 * _alternating(nu) * _cos_half(nu) * _mu_ratio(mu, 1.5),
+        lambda: 0.5 * _alternating(nu) * _sin_half(nu) * _mu_ratio(mu, 1.5),
+        lambda: 2.0 * _alternating(nu) * _delta4(mu, 2),
+        lambda: 0.0,  # 2 sin(nu pi) vanishes at every integer point
+        lambda: 0.5 * _cos_half(nu) * _mu_ratio(mu, 2.5),
+        lambda: 0.5 * _sin_half(nu) * _mu_ratio(mu, 2.5),
+        lambda: (_delta4(mu, 0) + _delta4(mu, 1) + _delta4(mu, 2) - 3.0 * _delta4(mu, 3)) / np.sqrt(6),
+    )
+    return float(forms[i]())
+
+
+def _closed_form_parity(i, mu, nu):
+    return (_alternating(nu), _alternating(mu + nu + 1), _alternating(mu))[i]
+
+
+@pytest.mark.parametrize("i", range(15))
+def test_representatives_equal_the_closed_forms(i):
+    # equal as floats, so bit for bit up to the sign of a zero: a zero cosine times a
+    # negative ratio is -0.0 in the formula and +0.0 in the table
+    for mu in range(-4, 8):
+        for nu in range(-4, 8):
+            assert generator_representative(i, mu, nu) == _closed_form_representative(i, mu, nu), (mu, nu)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_qubit_representatives_equal_the_parities(i):
+    for mu in range(-4, 8):
+        for nu in range(-4, 8):
+            assert generator_representative(i, mu, nu, dim=2) == _closed_form_parity(i, mu, nu), (mu, nu)
+
+
+def test_su4_stack_is_exactly_hermitian_with_unit_trace_and_population_diagonal():
+    from dwigner.generators import su4_kernel
+
+    ops = su4_kernel().ops
+    assert ops.shape == (4, 4, 4, 4)
+    for mu in range(4):
+        for nu in range(4):
+            op = ops[mu, nu]
+            assert np.array_equal(op, op.conj().T), (mu, nu)
+            assert np.trace(op) == 1.0, (mu, nu)
+            assert np.array_equal(np.diag(op), np.eye(4)[mu]), (mu, nu)
+
+
+@pytest.mark.parametrize("kind", ["phi+", "phi-", "psi+", "psi-"])
+def test_bell_su4_grids_are_exactly_zero_where_the_closed_form_is(kind):
+    rho = bell(kind)
+    components = bloch_vector(rho)
+    expected = np.array(
+        [
+            [0.25 + 0.5 * sum(_closed_form_representative(i, mu, nu) * components[i] for i in range(15))
+             for nu in range(4)]
+            for mu in range(4)
+        ]
+    )
+    zeros = np.abs(expected) < 1e-12
+    assert zeros.sum() == 4
+    grid = wigner_su4(rho)
+    np.testing.assert_allclose(grid, expected, atol=1e-12)
+    assert np.all(grid[zeros] == 0.0)
+
+
+@pytest.mark.parametrize("i", [1.0, "3", np.nan, True, np.True_, 2.5])
+def test_schwinger_expression_refuses_a_bool_or_non_integer_index(i):
+    with pytest.raises(ValueError, match="i must be an integer"):
+        generator_from_schwinger(i)
+
+
+@pytest.mark.parametrize("i", [-1, 15, np.int64(15)])
+def test_schwinger_expression_keeps_index_error_out_of_range(i):
+    with pytest.raises(IndexError, match=r"generator index -?\d+ out of range \[0, 15\)"):
+        generator_from_schwinger(i)
+
+
+def test_schwinger_expression_takes_numpy_integers():
+    assert np.array_equal(generator_from_schwinger(np.int32(3)), generator_from_schwinger(3))
+
+
+@pytest.mark.parametrize(
+    "index, name",
+    [((True, 0, 0), "i"), ((np.True_, 0, 0), "i"), ((0, False, 0), "mu"), ((0, 0, True), "nu")],
+)
+@pytest.mark.parametrize("dim", [2, 4])
+def test_representative_refuses_a_bool_index(index, name, dim):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        generator_representative(*index, dim=dim)
+
+
+@pytest.mark.parametrize("i, dim", [(-1, 4), (-1, 2)])
+def test_representative_keeps_index_error_out_of_range(i, dim):
+    with pytest.raises(IndexError, match=f"out of range \\[0, {dim * dim - 1}\\)"):
+        generator_representative(i, 0, 0, dim=dim)
 
 
 def test_wigner_su2_table_column():
