@@ -18,6 +18,14 @@ import numpy as np
 from .linalg import _bounded, hermitian_matrix
 
 
+# Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
+# built on first use) instead of its factors.  Per wigner_grid + reconstruct call (Xeon, numpy
+# 2.4 with OpenBLAS on one thread), the one real product over the table took 0.58-0.73 of the
+# time of the three n x n DFT products for n <= 11 and 0.80-0.93 at 12; at 13 the two were even
+# (0.90-1.00), and from 14 on the table was slower (72-82 against 48-49 us at n = 16).
+_TABLE_MAX = 12
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SchwingerPair:
     """Clock operator ``u`` and cyclic-lowering shift operator ``v``."""
@@ -69,30 +77,13 @@ def symmetrized_basis(eta: int, xi: int, n: int) -> np.ndarray:
     return phase / np.sqrt(n) * _clock_shift(eta, xi, n)
 
 
-def hermitizing_phase(eta: int, xi: int, n: int) -> complex:
-    """Unimodular weight that makes every phase-point operator Hermitian.
-
-    The plain Fourier sum of the symmetrized basis is Hermitian only for
-    n = 2; this factor restores Hermiticity for every dimension while
-    leaving the family trace-orthogonal and complete.  It depends on the
-    index residues only, so the weighted sum keeps the window-shift
-    invariance provided by the integer-part exponent.  At n = 2 it is
-    identically 1.
-    """
-    eta %= n
-    xi %= n
-    if n % 2 == 1:
-        return -1.0 if (eta % 2 == 1 and xi % 2 == 1) else 1.0
-    if eta != 0 and xi != 0 and (eta + xi) % 2 == 1:
-        return 1j
-    return 1.0
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class PhasePointFactors:
-    """The n x n tables from which ``kernel(n)`` is evaluated without its n^4 table.
+    """The n x n tables from which ``kernel(n)`` is evaluated, above ``_TABLE_MAX``, without its n^4 table.
 
-    ``dft[a, b] = w^(ab)`` and ``dft_h`` is its conjugate; ``spectrum = dft conj(c) / n``,
+    They take O(n^2) memory.  ``dft[a, b] = w^(ab)`` and ``dft_h`` is its conjugate; as ``dft``
+    is symmetric, the real (n, 2 n) view of ``dft_h``, transposed, is Re F over -Im F, so each
+    real end of the transforms is one real product with it; ``spectrum = dft conj(c) / n``,
     the conjugate of F† c / n, diagonalizes the cyclic correlation in j of the closed form
     (see ``kernel``); ``adjoint = conj(spectrum) / n`` is the same diagonal for
     ``reconstruct``, its conjugate and the 1/n of the inverse taken once, at build time;
@@ -116,10 +107,14 @@ class MappingKernel:
     all points is the identity; only that stack can be inverted by
     ``reconstruct``.  A stack given as ``ops`` must pass the package's
     acceptance rule, checked once.  ``kernel(n)`` carries ``factors`` instead
-    of a stack: ``wigner_grid`` and ``reconstruct`` evaluate it from them, and
-    its read-only ``ops`` table is built only on first access.  Every
-    stack in the package is C-contiguous, so the real (cells, 2 n^2) rows
-    that ``wigner_grid`` contracts are a view of it, not a copy.
+    of a stack, at every n, and its read-only ``ops`` table is built only on
+    first access.  Above ``_TABLE_MAX`` (12), ``wigner_grid`` and
+    ``reconstruct`` evaluate it from the factors in O(n^2) memory, and the
+    table is never built; up to 12, where one real product is faster than
+    the DFT products, they read the table's real rows like those of every
+    other stack, so the first call builds it (16 n^4 bytes).  Every stack in
+    the package is C-contiguous, so the real (cells, 2 n^2) rows that
+    ``wigner_grid`` and ``reconstruct`` contract are a view of it, not a copy.
     """
 
     def __init__(self, dim: int, ops: np.ndarray | None = None, factors: PhasePointFactors | None = None):
@@ -140,6 +135,12 @@ class MappingKernel:
         # the stack's real (cells, 2 n^2) rows, taken once: a view, so it holds no second table
         return _real_rows(self.ops)
 
+    @property
+    def _factored(self) -> bool:
+        # kernel(n) above _TABLE_MAX is evaluated from its factors; every other stack, and
+        # kernel(n) up to it, through its real rows
+        return self.factors is not None and self.dim > _TABLE_MAX
+
     def __getitem__(self, key) -> np.ndarray:
         return self.ops[key]
 
@@ -152,8 +153,9 @@ def _real_rows(stack) -> np.ndarray:
 
 
 def _hermitizing_phases(n: int) -> np.ndarray:
-    # hermitizing_phase(eta, xi, n) over the window, from index parity and zeros: for odd n,
-    # -1 where eta and xi are both odd; for even n, i where both are nonzero and eta + xi is odd
+    # the unimodular weights h(eta, xi) that make every phase-point operator Hermitian, over the
+    # window, from index parity and zeros: for odd n, -1 where eta and xi are both odd; for even
+    # n, i where both are nonzero and eta + xi is odd; 1 elsewhere
     idx = np.arange(n)
     products = np.outer(idx, idx)
     if n % 2 == 1:
@@ -193,7 +195,10 @@ def kernel(n: int) -> MappingKernel:
     along its cyclic diagonals, a cyclic correlation in j with c (diagonal under the DFT) and
     one DFT along xi (Vourdas, Rep. Prog. Phys. 67, 267 (2004)).  The kernel carries only the
     n x n ``PhasePointFactors`` of these steps, built in O(n^3); its ``ops`` table is built in
-    O(n^4) time and memory only on first access.
+    O(n^4) time and 16 n^4 bytes only on first access.  Above ``_TABLE_MAX`` (12) ``wigner_grid``
+    and ``reconstruct`` take the steps, in O(n^3) time and O(n^2) memory, and the table is never
+    built.  Up to 12 one real product with the table's rows is faster than the three DFT
+    products, so there the first ``wigner_grid`` or ``reconstruct`` builds it.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
@@ -211,26 +216,30 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
-    density matrix.  Over ``kernel(n)`` the values take O(n^3) time and
-    O(n^2) memory: gather R[j, xi] = rho[j, (j + xi) mod n], correlate
-    R with conj(c) along j through two DFT products and the cached
-    spectrum, and take one DFT along xi.  Over any other stack they are
-    one real matrix-vector product, Re Tr[G† rho] as the dot product of
-    the stack's real (cells, 2 n^2) rows, a view of it, with rho's.  A
-    DensityMatrix is exactly Hermitian; a raw array must be Hermitian
-    within 1e-10, and its values are then those of its Hermitian part,
-    since every cell operator is Hermitian.
+    density matrix.  Over ``kernel(n)`` with n above ``_TABLE_MAX`` (12)
+    the values take O(n^3) time and O(n^2) memory: gather
+    R[j, xi] = rho[j, (j + xi) mod n], correlate R with conj(c) along j
+    through two DFT products and the cached spectrum, and take the real
+    part of one DFT along xi as one real product with the real view of
+    conj(F), so no complex grid is formed.  Over any other stack, and over
+    ``kernel(n)`` up to 12, they are one real matrix-vector product,
+    Re Tr[G† rho] as the dot product of the stack's real (cells, 2 n^2)
+    rows, a view of it, with rho's.  A DensityMatrix is exactly Hermitian;
+    a raw array must be Hermitian within 1e-10, and its values are then
+    those of its Hermitian part, since every cell operator is Hermitian.
     """
     a = hermitian_matrix(rho)
     if kern is None:
         kern = kernel(a.shape[0])
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
-    f = kern.factors
-    if f is not None:
-        # W(mu, nu) = Re sum_xi w^(nu xi) sum_j conj(c[(j - mu) mod n, xi]) R[j, xi]
-        r = a.take(f.gather)
-        return (f.dft @ (f.spectrum * (f.dft_h @ r)) @ f.dft).real
+    if kern._factored:
+        # W(mu, nu) = Re sum_xi w^(nu xi) sum_j conj(c[(j - mu) mod n, xi]) R[j, xi]; F is
+        # symmetric, so the real view of conj(F), transposed, is Re F over -Im F, and Re[Y F] is
+        # one real product with it
+        f = kern.factors
+        y = f.dft @ (f.spectrum * (f.dft_h @ a.take(f.gather)))
+        return y.view(float) @ f.dft_h.view(float).T
     return (kern._rows @ _real_rows(a)[0]).reshape(kern.ops.shape[:-2])
 
 
@@ -240,12 +249,19 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     A grid whose sum W^2 / n, the sum |rho_ij|^2 of the matrix it maps, is
     not finite raises ``ValueError``.  Only the trace-orthogonal ``kernel(n)``
     is inverted; any other stack (the pair or four-level closed-form stacks)
-    raises.  The sum is the adjoint of ``wigner_grid``'s steps, in O(n^3)
-    time and O(n^2) memory: one DFT product along nu, the cyclic convolution
-    in mu with c through two DFT products and the cached spectrum, and a
-    scatter of each R[j, xi] back to rho[j, (j + xi) mod n].  The steps are taken conjugated, so the
-    conjugate and the 1/n of the sum come from the cached ``adjoint``
-    diagonal, with no pass of their own over the result.
+    raises.  Up to ``_TABLE_MAX`` (12) the sum is the transpose of
+    ``wigner_grid``'s one real product: the grid times the table's real
+    rows, read as complex entries and divided by n, exact because the family
+    is trace-orthogonal with Tr[G† G] = n.  Above 12 it is the adjoint of
+    ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory: one DFT
+    product along nu, taken as one real product of the real grid with the
+    real view of conj(F), so the grid is never cast to complex; the cyclic
+    convolution in mu with c through two DFT products and the cached
+    spectrum; and a scatter of each R[j, xi] back to rho[j, (j + xi) mod n].
+    The steps are taken conjugated, so the conjugate and the 1/n of the sum
+    come from the cached ``adjoint`` diagonal, with no pass of their own
+    over the result.  A grid in any memory order, or a nested list, is read
+    by index.
     """
     w = np.asarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -260,8 +276,11 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     n = kern.dim
     if not math.isfinite(np.vdot(w, w)):  # the rule holds sum W^2 / n, as n times it may overflow
         _bounded(w / math.sqrt(n), "grid values")
-    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi)
-    r = f.dft @ (f.adjoint * (f.dft_h @ w @ f.dft_h))
+    if not kern._factored:
+        return (w.ravel() @ kern._rows).view(complex).reshape(n, n) / n
+    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi); W F̄ is one
+    # real product with the real view of F̄, so W is never cast to complex
+    r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.dft_h.view(float)).view(complex)))
     rho = np.empty((n, n), dtype=complex)
     rho.put(f.gather, r)
     return rho

@@ -5,6 +5,25 @@ import numpy as np
 from dwigner import FanoCoefficients, XState
 
 
+def hermitizing_phase(eta, xi, n):
+    """Scalar oracle of ``kernel._hermitizing_phases``: the weight h(eta, xi) of the Fourier sum.
+
+    The plain Fourier sum of the symmetrized basis is Hermitian only for
+    n = 2; this unimodular factor restores Hermiticity for every dimension
+    while leaving the family trace-orthogonal and complete.  It depends on
+    the index residues only, so the weighted sum keeps the window-shift
+    invariance provided by the integer-part exponent.  At n = 2 it is
+    identically 1.
+    """
+    eta %= n
+    xi %= n
+    if n % 2 == 1:
+        return -1.0 if (eta % 2 == 1 and xi % 2 == 1) else 1.0
+    if eta != 0 and xi != 0 and (eta + xi) % 2 == 1:
+        return 1j
+    return 1.0
+
+
 def random_density(rng, n, rank=None):
     """Random full-rank (or fixed-rank) density matrix of dimension n."""
     rank = n if rank is None else rank

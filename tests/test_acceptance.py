@@ -57,8 +57,7 @@ from dwigner import (
     xstate_wigner,
 )
 from dwigner.cli import main
-from dwigner.kernel import hermitizing_phase
-from helpers import random_density, random_xstate
+from helpers import hermitizing_phase, random_density, random_xstate
 
 CP = np.sqrt((2 + np.sqrt(2)) / 2)
 CM = np.sqrt((2 - np.sqrt(2)) / 2)

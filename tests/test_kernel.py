@@ -20,10 +20,10 @@ from dwigner import (
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 from dwigner.generators import su4_kernel
-from dwigner.kernel import MappingKernel, _hermitizing_phases, hermitizing_phase
+from dwigner.kernel import _TABLE_MAX, MappingKernel, _hermitizing_phases
 from dwigner.linalg import validate_density
 from dwigner.twoqubit import pair_kernel
-from helpers import random_density
+from helpers import hermitizing_phase, random_density
 
 DIMS = (2, 3, 4, 5)
 
@@ -513,10 +513,33 @@ def test_factored_kernel_matches_its_table(rng, n):
     rho = random_density(rng, n)
     w = rng.normal(size=(n, n))
     grid, back = wigner_grid(rho, kern), reconstruct(w, kern)
-    assert "ops" not in vars(kern)
+    assert n <= _TABLE_MAX or "ops" not in vars(kern)
     expected = np.einsum("...ij,ij->...", kern.ops.conj(), rho).real
     np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-13)
     np.testing.assert_allclose(back, np.einsum("mn,mnij->ij", w, kern.ops) / n, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("first", ("wigner_grid", "reconstruct"))
+def test_kernel_table_is_built_up_to_the_constant_and_never_above_it(rng, first):
+    n = _TABLE_MAX
+    kern = kernel.__wrapped__(n)
+    assert "ops" not in vars(kern)
+    if first == "wigner_grid":
+        wigner_grid(random_density(rng, n), kern)
+    else:
+        reconstruct(rng.normal(size=(n, n)), kern)
+    assert "ops" in vars(kern)
+    kern = kernel.__wrapped__(n + 1)
+    reconstruct(wigner_grid(random_density(rng, n + 1), kern), kern)
+    assert "ops" not in vars(kern)
+
+
+@pytest.mark.parametrize("n", (2, _TABLE_MAX, _TABLE_MAX + 1, 32))
+def test_reconstruct_reads_a_grid_in_any_memory_order(rng, n):
+    w = rng.normal(size=(n, n))
+    expected = reconstruct(w)
+    for grid in (np.asfortranarray(w), np.ascontiguousarray(w.T).T, w.tolist()):
+        np.testing.assert_allclose(reconstruct(grid), expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", (64, 128))
