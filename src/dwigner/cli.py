@@ -20,6 +20,7 @@ its trace moments read ``inf``, with no warning, for entries above about 1e77.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -379,8 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main reads, built by its first call and reused by every later one in the process;
+# build_parser itself still returns a fresh parser
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     # a namespace of our own keeps --json-errors, read before any later argument fails
     args = argparse.Namespace()
     try:

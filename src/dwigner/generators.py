@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import MappingKernel, _clock_shift, _real_rows, wigner_grid
-from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_tolerance, hermitian_matrix
+from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance, hermitian_matrix
 
 
 def _gell_mann(n: int) -> tuple[np.ndarray, ...]:
@@ -128,10 +128,9 @@ _SU4_CLOCK_SHIFT_TERMS = (
 
 
 def _generator_index(name: str, value, count: int | None = None) -> None:
-    # one check for every generator and grid index: an integer that is not a bool, and,
-    # where a count is given, a generator index in [0, count)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    # one check for every generator and grid index: the package's integer check and, where a
+    # count is given, a generator index in [0, count)
+    _checked_integer(name, value)
     if count is not None and not 0 <= value < count:
         raise IndexError(f"generator index {value} out of range [0, {count})")
 

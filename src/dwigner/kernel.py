@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import _bounded, hermitian_matrix
+from .linalg import _bounded, _checked_integer, hermitian_matrix
 
 
 # Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
 # built on first use) instead of its factors.  Per wigner_grid + reconstruct call (Xeon, numpy
-# 2.4 with OpenBLAS on one thread), the one real product over the table took 0.58-0.73 of the
-# time of the three n x n DFT products for n <= 11 and 0.80-0.93 at 12; at 13 the two were even
-# (0.90-1.00), and from 14 on the table was slower (72-82 against 48-49 us at n = 16).
-_TABLE_MAX = 12
+# 2.4 with OpenBLAS on one thread), table time over half-spectrum DFT-step time, each run the
+# median of 21 alternated rounds: 0.70-0.71 at n = 8-9 and 0.78-0.86 at 10-11; at 12 the two
+# were even (0.83-1.09, median 1.03 over 13 runs), and from 13 on the table was slower
+# (1.01-1.09 at 13, 1.2-1.3 at 14).  Where the times are even, the O(n^2) path wins on memory.
+_TABLE_MAX = 11
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -45,9 +46,25 @@ def _clock_shift(eta: int, xi: int, n: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
+def _per_dimension(build):
+    # build once per dimension: a bool or non-integer n raises ValueError, and the cache is keyed
+    # on int(n), so a numpy integer finds what its int built; __wrapped__ is the uncached build.
+    # An int, the common case, skips the check (0.6 against 0.2 us per lookup)
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def lookup(n):
+        if type(n) is not int:
+            _checked_integer("dimension", n)
+            n = int(n)
+        return cached(n)
+
+    return lookup
+
+
+@_per_dimension
 def schwinger_pair(n: int) -> SchwingerPair:
-    """Build the dimension-n clock/shift pair."""
+    """Build (and cache) the dimension-n clock/shift pair; n must be an integer."""
     u = _clock_shift(1, 0, n)
     v = _clock_shift(0, 1, n)
     u.flags.writeable = False
@@ -79,15 +96,20 @@ def symmetrized_basis(eta: int, xi: int, n: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PhasePointFactors:
-    """The n x n tables from which ``kernel(n)`` is evaluated, above ``_TABLE_MAX``, without its n^4 table.
+    """The tables from which ``kernel(n)`` is evaluated, above ``_TABLE_MAX``, without its n^4 table.
 
-    They take O(n^2) memory.  ``dft[a, b] = w^(ab)`` and ``dft_h`` is its conjugate; as ``dft``
-    is symmetric, the real (n, 2 n) view of ``dft_h``, transposed, is Re F over -Im F, so each
-    real end of the transforms is one real product with it; ``spectrum = dft conj(c) / n``,
-    the conjugate of F† c / n, diagonalizes the cyclic correlation in j of the closed form
-    (see ``kernel``); ``adjoint = conj(spectrum) / n`` is the same diagonal for
-    ``reconstruct``, its conjugate and the 1/n of the inverse taken once, at build time;
-    ``gather[j, xi] = j n + (j + xi) mod n`` is the flat index of rho[j, (j + xi) mod n].
+    They take O(n^2) memory and cover the half spectrum xi = 0 .. h - 1, h = n // 2 + 1, as
+    every cell operator is Hermitian (see ``kernel``).  ``dft[a, b] = w^(ab)`` and ``dft_h`` is
+    its conjugate, n x n; ``spectrum[k, xi] = (dft conj(c))[k, xi] / n``, the conjugate of
+    F† c / n, diagonalizes the cyclic correlation in j of the closed form; ``adjoint =
+    conj(spectrum) / n`` is the same diagonal for ``reconstruct``, its conjugate and the 1/n of
+    the inverse taken once, at build time; ``gather[j, xi] = j n + (j + xi) mod n`` is the flat
+    index of rho[j, (j + xi) mod n] and ``mirror[j, xi] = ((j + xi) mod n) n + j`` that of
+    rho[(j + xi) mod n, j]; all four are n x h.  The two real ends: ``half`` is the real
+    (n, 2 h) view of dft_h[:, :h], so W F̄[:, :h] is one real product with it, and ``fold`` is
+    the real (2 h, n) table of weight(xi) (Re F over -Im F) for xi < h, weight 1 at xi = 0 and
+    at xi = n / 2 for even n and 2 between, so Re[Y F] is one real product with Y's first h
+    columns.
     """
 
     dft: np.ndarray
@@ -95,6 +117,9 @@ class PhasePointFactors:
     spectrum: np.ndarray
     adjoint: np.ndarray
     gather: np.ndarray
+    mirror: np.ndarray
+    half: np.ndarray
+    fold: np.ndarray
 
 
 class MappingKernel:
@@ -108,9 +133,9 @@ class MappingKernel:
     ``reconstruct``.  A stack given as ``ops`` must pass the package's
     acceptance rule, checked once.  ``kernel(n)`` carries ``factors`` instead
     of a stack, at every n, and its read-only ``ops`` table is built only on
-    first access.  Above ``_TABLE_MAX`` (12), ``wigner_grid`` and
+    first access.  Above ``_TABLE_MAX`` (11), ``wigner_grid`` and
     ``reconstruct`` evaluate it from the factors in O(n^2) memory, and the
-    table is never built; up to 12, where one real product is faster than
+    table is never built; up to 11, where one real product is faster than
     the DFT products, they read the table's real rows like those of every
     other stack, so the first call builds it (16 n^4 bytes).  Every stack in
     the package is C-contiguous, so the real (cells, 2 n^2) rows that
@@ -184,7 +209,7 @@ def _phase_point_table(n: int) -> np.ndarray:
     return ops
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def kernel(n: int) -> MappingKernel:
     """Construct (and cache) the phase-point operator basis for dimension n.
 
@@ -193,20 +218,29 @@ def kernel(n: int) -> MappingKernel:
     G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi] with xi = (k - j) mod n and
     c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m).  So a grid is a gather of rho
     along its cyclic diagonals, a cyclic correlation in j with c (diagonal under the DFT) and
-    one DFT along xi (Vourdas, Rep. Prog. Phys. 67, 267 (2004)).  The kernel carries only the
-    n x n ``PhasePointFactors`` of these steps, built in O(n^3); its ``ops`` table is built in
-    O(n^4) time and 16 n^4 bytes only on first access.  Above ``_TABLE_MAX`` (12) ``wigner_grid``
-    and ``reconstruct`` take the steps, in O(n^3) time and O(n^2) memory, and the table is never
-    built.  Up to 12 one real product with the table's rows is faster than the three DFT
-    products, so there the first ``wigner_grid`` or ``reconstruct`` builds it.
+    one DFT along xi (Vourdas, Rep. Prog. Phys. 67, 267 (2004)).  Every G is Hermitian, so
+    c[(m + xi) mod n, -xi] = conj(c[m, xi]): for a Hermitian rho the correlated column n - xi
+    is the conjugate of column xi, and the steps need only the half spectrum xi <= n / 2.  The
+    kernel carries only the O(n^2) ``PhasePointFactors`` of these steps, built in O(n^3); its
+    ``ops`` table is built in O(n^4) time and 16 n^4 bytes only on first access.  Above
+    ``_TABLE_MAX`` (11) ``wigner_grid`` and ``reconstruct`` take the steps, in O(n^3) time and
+    O(n^2) memory, and the table is never built.  Up to 11 one real product with the table's
+    rows is faster than the DFT products, so there the first ``wigner_grid`` or
+    ``reconstruct`` builds it.  A bool or non-integer n raises ``ValueError``, as does n < 2;
+    the cache is keyed on int(n), so ``kernel(np.int64(4)) is kernel(4)``.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     dft, c = _cell_coefficients(n)
     dft_h = dft.conj()
-    spectrum = dft @ c.conj() / n
+    h = n // 2 + 1
+    spectrum = dft @ c[:, :h].conj() / n
     idx = np.arange(n)
-    tables = (dft, dft_h, spectrum, spectrum.conj() / n, idx[:, None] * n + (idx[:, None] + idx[None, :]) % n)
+    diagonals = (idx[:, None] + idx[:h]) % n  # (j + xi) mod n
+    weights = np.where((idx[:h] == 0) | (2 * idx[:h] == n), 1.0, 2.0)
+    fold = np.ascontiguousarray((dft_h[:, :h] * weights).view(float).T)
+    gather, mirror = idx[:, None] * n + diagonals, diagonals * n + idx[:, None]
+    tables = (dft, dft_h, spectrum, spectrum.conj() / n, gather, mirror, dft_h[:, :h].view(float), fold)
     for table in tables:
         table.flags.writeable = False
     return MappingKernel(dim=n, factors=PhasePointFactors(*tables))
@@ -216,17 +250,19 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
-    density matrix.  Over ``kernel(n)`` with n above ``_TABLE_MAX`` (12)
-    the values take O(n^3) time and O(n^2) memory: gather
+    density matrix.  Over ``kernel(n)`` with n above ``_TABLE_MAX`` (11)
+    the values take O(n^3) time and O(n^2) memory, on the half spectrum
+    xi < h = n // 2 + 1 of the Hermitian rho: gather
     R[j, xi] = rho[j, (j + xi) mod n], correlate R with conj(c) along j
-    through two DFT products and the cached spectrum, and take the real
-    part of one DFT along xi as one real product with the real view of
-    conj(F), so no complex grid is formed.  Over any other stack, and over
-    ``kernel(n)`` up to 12, they are one real matrix-vector product,
+    through two n x n by n x h DFT products and the cached spectrum, and
+    take the real part of the DFT along xi, folded over the half spectrum,
+    as one real product with the cached (2 h, n) ``fold`` table, so no
+    complex grid is formed.  Over any other stack, and over
+    ``kernel(n)`` up to 11, they are one real matrix-vector product,
     Re Tr[G† rho] as the dot product of the stack's real (cells, 2 n^2)
     rows, a view of it, with rho's.  A DensityMatrix is exactly Hermitian;
-    a raw array must be Hermitian within 1e-10, and its values are then
-    those of its Hermitian part, since every cell operator is Hermitian.
+    a raw array must be Hermitian within 1e-10, and its values are those
+    of its Hermitian part, which ``hermitian_matrix`` returns for it.
     """
     a = hermitian_matrix(rho)
     if kern is None:
@@ -234,12 +270,11 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     if kern.dim != a.shape[0]:
         raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
     if kern._factored:
-        # W(mu, nu) = Re sum_xi w^(nu xi) sum_j conj(c[(j - mu) mod n, xi]) R[j, xi]; F is
-        # symmetric, so the real view of conj(F), transposed, is Re F over -Im F, and Re[Y F] is
-        # one real product with it
+        # W(mu, nu) = Re sum_xi w^(nu xi) Y[mu, xi], Y[mu, xi] = sum_j conj(c[(j - mu) mod n, xi])
+        # R[j, xi]; as Y[mu, n - xi] = conj(Y[mu, xi]), the sum folds onto xi < h, one real product
         f = kern.factors
         y = f.dft @ (f.spectrum * (f.dft_h @ a.take(f.gather)))
-        return y.view(float) @ f.dft_h.view(float).T
+        return y.view(float) @ f.fold
     return (kern._rows @ _real_rows(a)[0]).reshape(kern.ops.shape[:-2])
 
 
@@ -249,21 +284,25 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     A grid whose sum W^2 / n, the sum |rho_ij|^2 of the matrix it maps, is
     not finite raises ``ValueError``.  Only the trace-orthogonal ``kernel(n)``
     is inverted; any other stack (the pair or four-level closed-form stacks)
-    raises.  Up to ``_TABLE_MAX`` (12) the sum is the transpose of
+    raises.  Up to ``_TABLE_MAX`` (11) the sum is the transpose of
     ``wigner_grid``'s one real product: the grid times the table's real
     rows, read as complex entries and divided by n, exact because the family
-    is trace-orthogonal with Tr[G† G] = n.  Above 12 it is the adjoint of
-    ``wigner_grid``'s steps, in O(n^3) time and O(n^2) memory: one DFT
-    product along nu, taken as one real product of the real grid with the
-    real view of conj(F), so the grid is never cast to complex; the cyclic
-    convolution in mu with c through two DFT products and the cached
-    spectrum; and a scatter of each R[j, xi] back to rho[j, (j + xi) mod n].
-    The steps are taken conjugated, so the conjugate and the 1/n of the sum
+    is trace-orthogonal with Tr[G† G] = n.  Above 11 it is the adjoint of
+    ``wigner_grid``'s steps on the half spectrum xi < h = n // 2 + 1, in
+    O(n^3) time and O(n^2) memory, as the result is Hermitian: the DFT
+    along nu for xi < h, one real product of the real grid with the cached
+    real (n, 2 h) ``half`` view, so the grid is never cast to complex; the
+    cyclic convolution in mu with c through two n x n by n x h DFT products
+    and the cached spectrum; and a scatter of each R[j, xi] to
+    rho[j, (j + xi) mod n] and of its conjugate to rho[(j + xi) mod n, j],
+    the mirror written first, so the values computed directly are kept
+    where the two meet (the diagonal, and xi = n / 2 for even n).  The
+    steps are taken conjugated, so the conjugate and the 1/n of the sum
     come from the cached ``adjoint`` diagonal, with no pass of their own
     over the result.  A grid in any memory order, or a nested list, is read
-    by index.
+    by index, taken in C order, so every order gives the same bits.
     """
-    w = np.asarray(values, dtype=float)
+    w = np.ascontiguousarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square grid, got shape {w.shape}")
     if kern is None:
@@ -278,10 +317,11 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         _bounded(w / math.sqrt(n), "grid values")
     if not kern._factored:
         return (w.ravel() @ kern._rows).view(complex).reshape(n, n) / n
-    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi); W F̄ is one
-    # real product with the real view of F̄, so W is never cast to complex
-    r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.dft_h.view(float)).view(complex)))
+    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi) for xi < h; W F̄
+    # is one real product with the real view of F̄'s first h columns, so W is never cast to complex
+    r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.half).view(complex)))
     rho = np.empty((n, n), dtype=complex)
+    rho.put(f.mirror, r.conj())
     rho.put(f.gather, r)
     return rho
 

@@ -24,6 +24,12 @@ def _checked_tolerance(tol: float | None) -> float:
     return tol
 
 
+def _checked_integer(name: str, value) -> None:
+    # the one integer check of every index and dimension: an int or numpy integer, not a bool
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -157,21 +163,24 @@ class DensityMatrix:
 
 
 def hermitian_matrix(rho) -> np.ndarray:
-    """A state's matrix: a DensityMatrix's own, unchecked and uncopied, as it is Hermitian.
+    """A state's matrix, exactly Hermitian: a DensityMatrix's own, unchecked and uncopied.
 
     A raw array must pass ``as_matrix`` (a square matrix whose sum of |a_ij|^2 is finite) and
-    be Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``.  The guard's bound
-    keeps every grid and coordinate vector read from the matrix finite.
+    be Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``.  It is returned itself
+    when it is exactly Hermitian, and as its Hermitian part (a + a†)/2 otherwise, so every value
+    read from a raw array is that of its Hermitian part, also where a transform reads only half
+    of the matrix.  The guard's bound keeps every grid and coordinate vector read from the
+    matrix finite.
     """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    a, _, defect = _guarded(rho)
+    a, adjoint, defect = _guarded(rho)
     if defect > DEFAULT_TOLERANCE:
         raise ValueError(
             f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
             f"{DEFAULT_TOLERANCE:.1e}, so its phase-space values would have an imaginary part"
         )
-    return a
+    return a if defect == 0 else (a + adjoint) / 2.0
 
 
 def validate_density(m, tol: float | None = None) -> DensityMatrix:

@@ -1,13 +1,17 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dwigner
 from dwigner import bell, parse_grid, parse_matrix, serialize_matrix, validate_density, werner, wigner_su4
-from dwigner.cli import main
+from dwigner.cli import build_parser, main
 from helpers import random_density, random_xstate
 
 
@@ -542,3 +546,51 @@ def test_a_hermitian_part_that_overflows_writes_no_numpy_warning(command, json_e
         assert json.loads(line) == {"error": f"{path}: {TOO_LARGE}", "kind": "validation"}
     else:
         assert line == f"error: {path}: {TOO_LARGE}"
+
+
+# runs cli.main once per argv of the JSON list in sys.argv[1], in one interpreter; prints each
+# call's (exit code, stdout, stderr) and how many parsers main built
+_MAIN_CALLS = (
+    "import contextlib, io, json, sys\n"
+    "from dwigner import cli\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        results.append([cli.main(argv)])\n"
+    "    results[-1] += [out.getvalue(), err.getvalue()]\n"
+    "print(json.dumps([results, cli._main_parser.cache_info().misses]))"
+)
+
+
+def _main_calls(argvs):
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_CALLS, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(dwigner.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    return json.loads(done.stdout)
+
+
+def test_main_calls_in_one_process_match_separate_processes(matrix_file):
+    path = matrix_file("rho.json", werner(0.7))
+    argvs = [
+        ["state", "--name", "bell:phi+"],
+        ["--json-errors", "state", "--nme", "bell:phi+"],
+        ["wigner", "--input", path, "--rep", "pair"],
+        ["wigner", "--rep", "su2"],
+        ["--help"],
+        ["validate", "--input", path + ".missing"],
+        ["state", "--name", "bell:phi+"],
+    ]
+    together, parsers = _main_calls(argvs)
+    assert parsers == 1
+    assert together == [_main_calls([argv])[0][0] for argv in argvs]
+    assert [code for code, _, _ in together] == [0, 2, 0, 2, 0, 1, 0]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()

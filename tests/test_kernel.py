@@ -63,6 +63,23 @@ def test_kernel_rejects_small_dimension():
         kernel(1)
 
 
+@pytest.mark.parametrize("build", [kernel, schwinger_pair])
+@pytest.mark.parametrize("n", [4.0, 2.5, np.float64(4.0), True, np.True_, "4", None])
+def test_dimension_must_be_an_integer(build, n):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        build(n)
+
+
+@pytest.mark.parametrize("build", [kernel, schwinger_pair])
+def test_a_numpy_integer_dimension_finds_the_cached_build(build):
+    with pytest.raises(ValueError):
+        build(4.0)
+    for n in (np.int64(4), np.int32(4), np.uint8(4)):
+        assert build(n) is build(4)
+    assert type(build(np.int64(5)).dim) is int
+    assert build(np.int64(5)) is build(5)
+
+
 @pytest.mark.parametrize(
     "fields", [{}, {"ops": np.zeros((2, 2, 2, 2)), "factors": kernel(2).factors}], ids=["neither", "both"]
 )
@@ -506,7 +523,7 @@ def test_reconstruct_inverts_a_grid_whose_squares_overflow_when_the_state_s_do_n
     assert np.linalg.norm(back - rho) <= 1e-12 * np.linalg.norm(rho)
 
 
-@pytest.mark.parametrize("n", range(2, 33))
+@pytest.mark.parametrize("n", range(2, 41))
 def test_factored_kernel_matches_its_table(rng, n):
     # an uncached kernel, so its n^4 table is freed after the test
     kern = kernel.__wrapped__(n)
@@ -517,6 +534,23 @@ def test_factored_kernel_matches_its_table(rng, n):
     expected = np.einsum("...ij,ij->...", kern.ops.conj(), rho).real
     np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-13)
     np.testing.assert_allclose(back, np.einsum("mn,mnij->ij", w, kern.ops) / n, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", (13, 16, 17, 32, 33))
+def test_factored_grid_of_a_nearly_hermitian_array_is_that_of_its_hermitian_part(rng, n):
+    # the half spectrum reads rho[j, j + xi] for xi <= n / 2 only; an anti-Hermitian part of
+    # 1e-11 would move the grid by about that much if it were read as given
+    rho = random_density(rng, n)
+    e = rng.normal(size=(n, n))
+    m = rho + 0.5e-11 * (e - e.T) / np.abs(e - e.T).max()
+    assert np.abs(m - m.conj().T).max() == pytest.approx(1e-11)
+    np.testing.assert_allclose(wigner_grid(m), wigner_grid((m + m.conj().T) / 2), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", (_TABLE_MAX + 1, 16, 17, 32, 33))
+def test_factored_reconstruct_is_hermitian(rng, n):
+    back = reconstruct(rng.normal(size=(n, n)))
+    np.testing.assert_allclose(back, back.conj().T, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("first", ("wigner_grid", "reconstruct"))

@@ -263,6 +263,20 @@ def test_hermitian_matrix_trusts_a_validated_state(rng):
     assert not dm.matrix.flags.writeable
 
 
+def test_hermitian_matrix_returns_an_exactly_hermitian_array_itself(rng):
+    m = random_density(rng, 4)
+    m = (m + m.conj().T) / 2
+    assert hermitian_matrix(m) is m
+
+
+def test_hermitian_matrix_returns_the_hermitian_part_of_a_nearly_hermitian_array():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-11j
+    a = hermitian_matrix(m)
+    assert (a == a.conj().T).all()
+    np.testing.assert_array_equal(a, (m + m.conj().T) / 2)
+
+
 def test_validated_state_stores_the_exact_hermitian_part():
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = 1e-7j
