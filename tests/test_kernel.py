@@ -568,7 +568,7 @@ def test_kernel_table_is_built_up_to_the_constant_and_never_above_it(rng, first)
     assert "ops" not in vars(kern)
 
 
-@pytest.mark.parametrize("n", (2, _TABLE_MAX, _TABLE_MAX + 1, 32))
+@pytest.mark.parametrize("n", sorted({2, _TABLE_MAX, _TABLE_MAX + 1, 12, 13, 32}))
 def test_reconstruct_reads_a_grid_in_any_memory_order(rng, n):
     w = rng.normal(size=(n, n))
     expected = reconstruct(w)
