@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import _bounded, _checked_integer, hermitian_matrix
+from .linalg import DensityMatrix, _bounded, _checked_integer, _hermitian_entries, as_matrix
 
 
 # Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
@@ -105,10 +105,12 @@ class PhasePointFactors:
     conj(spectrum) / n`` is the same diagonal for ``reconstruct``, its conjugate and the 1/n of
     the inverse taken once, at build time; ``gather[j, xi] = j n + (j + xi) mod n`` is the flat
     index of rho[j, (j + xi) mod n] and ``mirror[j, xi] = ((j + xi) mod n) n + j`` that of
-    rho[(j + xi) mod n, j]; all four are n x h.  The two real ends: ``half`` is the real
-    (n, 2 h) view of dft_h[:, :h], so W F̄[:, :h] is one real product with it, and ``fold`` is
-    the real (2 h, n) table of weight(xi) (Re F over -Im F) for xi < h, weight 1 at xi = 0 and
-    at xi = n / 2 for even n and 2 between, so Re[Y F] is one real product with Y's first h
+    rho[(j + xi) mod n, j]; all four are n x h.  ``scatter``, n x n, is their inverse: the flat
+    index into (conj(R) over R), 2 n h entries, of the value ``reconstruct`` writes to each
+    rho[j, k], R's own where the gather and the mirror meet.  The two real ends: ``half`` is the
+    real (n, 2 h) view of dft_h[:, :h], so W F̄[:, :h] is one real product with it, and ``fold``
+    is the real (2 h, n) table of weight(xi) (Re F over -Im F) for xi < h, weight 1 at xi = 0
+    and at xi = n / 2 for even n and 2 between, so Re[Y F] is one real product with Y's first h
     columns.
     """
 
@@ -118,6 +120,7 @@ class PhasePointFactors:
     adjoint: np.ndarray
     gather: np.ndarray
     mirror: np.ndarray
+    scatter: np.ndarray
     half: np.ndarray
     fold: np.ndarray
 
@@ -240,7 +243,11 @@ def kernel(n: int) -> MappingKernel:
     weights = np.where((idx[:h] == 0) | (2 * idx[:h] == n), 1.0, 2.0)
     fold = np.ascontiguousarray((dft_h[:, :h] * weights).view(float).T)
     gather, mirror = idx[:, None] * n + diagonals, diagonals * n + idx[:, None]
-    tables = (dft, dft_h, spectrum, spectrum.conj() / n, gather, mirror, dft_h[:, :h].view(float), fold)
+    scatter = np.empty((n, n), dtype=np.intp)  # into (conj(R) over R): mirror first, gather wins
+    scatter.put(mirror, np.arange(n * h))
+    scatter.put(gather, np.arange(n * h, 2 * n * h))
+    half = dft_h[:, :h].view(float)
+    tables = (dft, dft_h, spectrum, spectrum.conj() / n, gather, mirror, scatter, half, fold)
     for table in tables:
         table.flags.writeable = False
     return MappingKernel(dim=n, factors=PhasePointFactors(*tables))
@@ -262,19 +269,34 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     Re Tr[G† rho] as the dot product of the stack's real (cells, 2 n^2)
     rows, a view of it, with rho's.  A DensityMatrix is exactly Hermitian;
     a raw array must be Hermitian within 1e-10, and its values are those
-    of its Hermitian part, which ``hermitian_matrix`` returns for it.
+    of its Hermitian part.  On the half spectrum the guard reads only the
+    gathered R and, through the mirror index, the conjugates R' of the
+    entries across the diagonal; every pair (j, k) is one of the two, so
+    max|R - R'| is the whole max|a - a†|.  One exact comparison settles an
+    exactly Hermitian array, whose R is read as it is; on a mismatch the
+    defect is computed and (R + R')/2, the gather of (a + a†)/2, is read.
+    Elsewhere ``hermitian_matrix``'s guard reads the whole matrix.  A
+    non-Hermitian array is refused before a dimension mismatch.
     """
-    a = hermitian_matrix(rho)
+    raw = not isinstance(rho, DensityMatrix)
+    a = as_matrix(rho) if raw else rho.matrix
     if kern is None:
         kern = kernel(a.shape[0])
-    if kern.dim != a.shape[0]:
-        raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
-    if kern._factored:
+    if kern._factored and kern.dim == a.shape[0]:
         # W(mu, nu) = Re sum_xi w^(nu xi) Y[mu, xi], Y[mu, xi] = sum_j conj(c[(j - mu) mod n, xi])
         # R[j, xi]; as Y[mu, n - xi] = conj(Y[mu, xi]), the sum folds onto xi < h, one real product
         f = kern.factors
-        y = f.dft @ (f.spectrum * (f.dft_h @ a.take(f.gather)))
+        r = a.take(f.gather)
+        if raw:
+            # every pair (j, k) is read once, through the gather or the mirror, so this is the
+            # whole guard, and (r + r')/2 is the gather of (a + a†)/2
+            r = _hermitian_entries(r, a.take(f.mirror).conj())
+        y = f.dft @ (f.spectrum * (f.dft_h @ r))
         return y.view(float) @ f.fold
+    if raw:
+        a = _hermitian_entries(a, a.conj().T)
+    if kern.dim != a.shape[0]:
+        raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
     return (kern._rows @ _real_rows(a)[0]).reshape(kern.ops.shape[:-2])
 
 
@@ -295,11 +317,11 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     cyclic convolution in mu with c through two n x n by n x h DFT products
     and the cached spectrum; and a scatter of each R[j, xi] to
     rho[j, (j + xi) mod n] and of its conjugate to rho[(j + xi) mod n, j],
-    the mirror written first, so the values computed directly are kept
-    where the two meet (the diagonal, and xi = n / 2 for even n).  The
-    steps are taken conjugated, so the conjugate and the 1/n of the sum
-    come from the cached ``adjoint`` diagonal, with no pass of their own
-    over the result.  A grid in any memory order, or a nested list, is read
+    one ``take`` from (conj(R) over R) through the cached ``scatter`` index,
+    which keeps the values computed directly where the two meet (the
+    diagonal, and xi = n / 2 for even n).  The steps are taken conjugated,
+    so the conjugate and the 1/n of the sum come from the cached
+    ``adjoint`` diagonal, with no pass of their own over the result.  A grid in any memory order, or a nested list, is read
     by index, taken in C order, so every order gives the same bits.
     """
     w = np.ascontiguousarray(values, dtype=float)
@@ -320,10 +342,7 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi) for xi < h; W F̄
     # is one real product with the real view of F̄'s first h columns, so W is never cast to complex
     r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.half).view(complex)))
-    rho = np.empty((n, n), dtype=complex)
-    rho.put(f.mirror, r.conj())
-    rho.put(f.gather, r)
-    return rho
+    return np.concatenate((r.conj(), r)).take(f.scatter)
 
 
 def _check_grid(values) -> np.ndarray:

@@ -57,11 +57,33 @@ def as_matrix(m) -> np.ndarray:
     return _bounded(_square_matrix(m), "matrix entries")
 
 
+def _asymmetry(r, m, limit: float = math.inf) -> float:
+    # max|r - m| for entries r of a matrix a and m, the entries of a† at the same places; over
+    # the whole of a it is max|a - a†|.  One exact comparison settles r == m (count_nonzero is
+    # the cheapest reduction of it); the arithmetic is done only on a mismatch, and a defect
+    # above ``limit`` raises the state readers' ValueError
+    if not np.count_nonzero(r != m):
+        return 0.0
+    defect = float(np.abs(r - m).max())
+    if defect > limit:
+        raise ValueError(
+            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
+            f"{limit:.1e}, so its phase-space values would have an imaginary part"
+        )
+    return defect
+
+
+def _hermitian_entries(r, m) -> np.ndarray:
+    # the Hermitian part (a + a†)/2 read at the places of r and m (see _asymmetry): r itself
+    # when the two are exactly equal; a defect above DEFAULT_TOLERANCE raises ValueError
+    return r if _asymmetry(r, m, DEFAULT_TOLERANCE) == 0 else (r + m) / 2.0
+
+
 def _guarded(m) -> tuple[np.ndarray, np.ndarray, float]:
     # one guard pass over raw input: the accepted matrix, its adjoint and max|a - a†|
     a = as_matrix(m)
     adjoint = a.conj().T
-    return a, adjoint, float(np.abs(a - adjoint).max())
+    return a, adjoint, _asymmetry(a, adjoint)
 
 
 def trace_product(a, b) -> complex:
@@ -143,7 +165,7 @@ class DensityMatrix:
         if not isinstance(m, np.ndarray) or m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"a DensityMatrix holds a square matrix, got shape {np.shape(m)}")
         _bounded(m, "matrix entries")
-        if not (m == m.conj().T).all():
+        if _asymmetry(m, m.conj().T):
             raise ValueError("a DensityMatrix holds an exactly Hermitian matrix; build one with validate_density")
 
     @classmethod
@@ -166,21 +188,17 @@ def hermitian_matrix(rho) -> np.ndarray:
     """A state's matrix, exactly Hermitian: a DensityMatrix's own, unchecked and uncopied.
 
     A raw array must pass ``as_matrix`` (a square matrix whose sum of |a_ij|^2 is finite) and
-    be Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``.  It is returned itself
-    when it is exactly Hermitian, and as its Hermitian part (a + a†)/2 otherwise, so every value
-    read from a raw array is that of its Hermitian part, also where a transform reads only half
-    of the matrix.  The guard's bound keeps every grid and coordinate vector read from the
+    be Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``.  One exact comparison
+    with a† settles an exactly Hermitian array, which is returned itself; only on a mismatch is
+    max|a - a†| computed, and the array returned as its Hermitian part (a + a†)/2.  So every
+    value read from a raw array is that of its Hermitian part, also where a transform reads only
+    half of the matrix.  The guard's bound keeps every grid and coordinate vector read from the
     matrix finite.
     """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    a, adjoint, defect = _guarded(rho)
-    if defect > DEFAULT_TOLERANCE:
-        raise ValueError(
-            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
-            f"{DEFAULT_TOLERANCE:.1e}, so its phase-space values would have an imaginary part"
-        )
-    return a if defect == 0 else (a + adjoint) / 2.0
+    a = as_matrix(rho)
+    return _hermitian_entries(a, a.conj().T)
 
 
 def validate_density(m, tol: float | None = None) -> DensityMatrix:
@@ -189,8 +207,10 @@ def validate_density(m, tol: float | None = None) -> DensityMatrix:
     Raises DensityMatrixError listing every violated invariant together
     with its measured magnitude; ``dwigner validate`` prints the same check.
     Stores the Hermitian part (a + a†)/2, whose spectrum ``hermitian_eigenvalues``
-    reads, which is ``a`` bit for bit when ``a`` is exactly Hermitian, and is
-    exactly Hermitian, so the result is built once, without the exact
+    reads.  When ``a`` is exactly Hermitian it equals ``a`` entry for entry, but
+    not always bit for bit: a zero part reads -0.0 only where both addends do,
+    so the -0.0 imaginary parts of ``conj(eye(2)) / 2`` are stored as +0.0.  The
+    part is exactly Hermitian, so the result is built once, without the exact
     comparison a public ``DensityMatrix(matrix=...)`` makes.  The input
     passes ``as_matrix``'s rule first, as in ``hermitian_matrix``, so every
     number the check computes is finite.  A tolerance that is negative or

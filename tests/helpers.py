@@ -1,8 +1,9 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and reference transforms for the test suite."""
 
 import numpy as np
 
-from dwigner import FanoCoefficients, XState
+from dwigner import FanoCoefficients, XState, kernel
+from dwigner.kernel import _real_rows
 
 
 def hermitizing_phase(eta, xi, n):
@@ -58,3 +59,51 @@ def random_product_fano(rng):
     p2 = rng.uniform(-1, 1, size=3)
     p2 *= rng.uniform(0, 0.99) / max(1.0, np.linalg.norm(p2))
     return FanoCoefficients(a=p1, b=p2, c=np.outer(p1, p2))
+
+
+STATE_GUARD_MESSAGE = (
+    "input matrix is not Hermitian: max asymmetry {:.3e} exceeds 1.0e-10, "
+    "so its phase-space values would have an imaginary part"
+)
+
+
+def reference_wigner_grid(rho):
+    """``wigner_grid(rho)`` over ``kernel(n)`` through the full-matrix guard, as an oracle.
+
+    The guard takes max|a - a†| over every entry, refuses it above 1e-10 with the state readers'
+    message, and reads (a + a†)/2 unless it is 0; the factored steps then read the gather of the
+    whole guarded matrix.
+    """
+    a = np.asarray(rho, dtype=complex)
+    adjoint = a.conj().T
+    defect = float(np.abs(a - adjoint).max())
+    if defect > 1e-10:
+        raise ValueError(STATE_GUARD_MESSAGE.format(defect))
+    if defect:
+        a = (a + adjoint) / 2.0
+    n = a.shape[0]
+    kern = kernel(n)
+    if not kern._factored:
+        return (kern._rows @ _real_rows(a)[0]).reshape(n, n)
+    f = kern.factors
+    y = f.dft @ (f.spectrum * (f.dft_h @ a.take(f.gather)))
+    return y.view(float) @ f.fold
+
+
+def reference_reconstruct(values):
+    """``reconstruct(values)`` over ``kernel(n)`` with the two-``put`` scatter, as an oracle.
+
+    Above the table the half-spectrum R is written into an empty matrix, its conjugate through
+    the mirror index first and R itself through the gather index after, so R wins where they meet.
+    """
+    w = np.ascontiguousarray(values, dtype=float)
+    n = w.shape[0]
+    kern = kernel(n)
+    if not kern._factored:
+        return (w.ravel() @ kern._rows).view(complex).reshape(n, n) / n
+    f = kern.factors
+    r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.half).view(complex)))
+    rho = np.empty((n, n), dtype=complex)
+    rho.put(f.mirror, r.conj())
+    rho.put(f.gather, r)
+    return rho

@@ -23,7 +23,13 @@ from dwigner.generators import su4_kernel
 from dwigner.kernel import _TABLE_MAX, MappingKernel, _hermitizing_phases
 from dwigner.linalg import validate_density
 from dwigner.twoqubit import pair_kernel
-from helpers import hermitizing_phase, random_density
+from helpers import (
+    STATE_GUARD_MESSAGE,
+    hermitizing_phase,
+    random_density,
+    reference_reconstruct,
+    reference_wigner_grid,
+)
 
 DIMS = (2, 3, 4, 5)
 
@@ -613,3 +619,84 @@ def test_kernel_table_is_built_once_on_first_access():
     assert kern.ops is ops
     assert not ops.flags.writeable
     assert not any(table.flags.writeable for table in vars(kern.factors).values())
+
+
+def _nearly_hermitian(rng, n):
+    # a state moved by an anti-Hermitian part of 1e-12, within the guard's 1e-10
+    rho = random_density(rng, n)
+    e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    skew = e - e.conj().T
+    return rho + 0.5e-12 * skew / np.abs(skew).max()
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64])
+def test_transforms_match_the_full_guard_and_two_put_scatter_bit_for_bit(rng, n):
+    for rho in (random_density(rng, n), _nearly_hermitian(rng, n)):
+        for m in (rho, np.asfortranarray(rho), rho.T):
+            grid = wigner_grid(m)
+            assert grid.tobytes() == reference_wigner_grid(m).tobytes()
+        for g in (grid, np.asfortranarray(grid), grid.T):
+            assert reconstruct(g).tobytes() == reference_reconstruct(g).tobytes()
+
+
+REFUSAL_DIMS = (12, 13, 16, 32)
+
+
+def _refusal(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert type(info.value) is ValueError
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", REFUSAL_DIMS)
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 1): complex(np.nan, 0.0)}, "matrix entries must be finite"),
+        ({(0, 1): complex(0.0, np.nan)}, "matrix entries must be finite"),
+        ({(2, 2): np.inf}, "matrix entries must be finite"),
+        ({(0, 1): np.inf, (1, 0): np.inf}, "matrix entries must be finite"),
+        (
+            {(0, 1): 1e308, (1, 0): -1e308},
+            "matrix entries are too large: the sum of their squared magnitudes overflows",
+        ),
+        ({(0, 1): 1e-7j}, STATE_GUARD_MESSAGE.format(1e-7)),
+    ],
+    ids=["nan-real", "nan-imaginary", "inf-diagonal", "inf-pair", "overflowing-pair", "asymmetry-1e-7"],
+)
+def test_factored_grid_refuses_the_raw_guard_inputs(n, entries, message):
+    m = np.eye(n, dtype=complex) / n
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    assert _refusal(lambda: wigner_grid(m)) == message
+
+
+@pytest.mark.parametrize("n", REFUSAL_DIMS)
+def test_factored_grid_reports_the_full_matrix_asymmetry(rng, n):
+    m = random_density(rng, n) + 1e-8 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    defect = np.abs(m - m.conj().T).max()
+    assert _refusal(lambda: wigner_grid(m)) == STATE_GUARD_MESSAGE.format(defect)
+    assert _refusal(lambda: reference_wigner_grid(m)) == STATE_GUARD_MESSAGE.format(defect)
+
+
+@pytest.mark.parametrize("n", REFUSAL_DIMS)
+def test_factored_grid_refuses_an_asymmetry_read_only_through_the_mirror(rng, n):
+    # rho[j, k] with (k - j) mod n > n / 2 is read only as the mirror of rho[k, j]
+    m = random_density(rng, n)
+    j, k = 1, (1 + n // 2 + 1) % n
+    assert (k - j) % n > n / 2
+    m[j, k] += 3.7e-6 - 2.1e-6j
+    asymmetry = np.abs(m - m.conj().T)
+    assert asymmetry.argmax() in (j * n + k, k * n + j)
+    assert _refusal(lambda: wigner_grid(m)) == STATE_GUARD_MESSAGE.format(asymmetry.max())
+
+
+@pytest.mark.parametrize("n", REFUSAL_DIMS)
+def test_factored_grid_refuses_non_hermitian_input_before_a_dimension_mismatch(n):
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] = 1e-7j
+    for other in (n - 1, n + 1, 32 if n != 32 else 16):
+        assert _refusal(lambda: wigner_grid(m, kernel(other))) == STATE_GUARD_MESSAGE.format(1e-7)

@@ -292,6 +292,16 @@ def test_validated_hermitian_input_is_stored_bit_for_bit(rng):
     np.testing.assert_array_equal(validate_density(m).matrix, m)
 
 
+def test_validated_hermitian_input_keeps_its_values_but_not_its_signed_zeros():
+    # (a + a†)/2 adds each -0.0 imaginary part to the +0.0 of its conjugate: equal values, other bits
+    m = np.eye(2).astype(complex).conj() / 2
+    assert (m == m.conj().T).all() and np.signbit(m.imag).all()
+    stored = validate_density(m).matrix
+    np.testing.assert_array_equal(stored, m)
+    assert not np.signbit(stored.imag).any()
+    assert stored.tobytes() == ((m + m.conj().T) / 2).tobytes()
+
+
 def _skewed(n, shift):
     # I/n with rho[0,1] += shift: purity, overlaps and the Bloch vector of
     # such a matrix are not those of any state
