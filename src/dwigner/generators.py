@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import MappingKernel, _clock_shift, _real_rows, wigner_grid
+from .kernel import MappingKernel, _clock_shift, _compose, _per_dimension, _real_rows, wigner_grid
 from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance, hermitian_matrix
 
 
@@ -67,9 +67,14 @@ class GeneratorSet:
         return self._stack
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def generators(n: int) -> GeneratorSet:
-    """Generator set for dimension n; supported dimensions are 2 and 4."""
+    """Generator set for dimension n; supported dimensions are 2 and 4.
+
+    Built once per dimension and cached, as ``kernel(n)`` is: a bool or
+    non-integer n raises ``ValueError``, and ``generators(np.int64(4)) is
+    generators(4)``.
+    """
     if n not in (2, 4):
         raise ValueError(f"unsupported dimension {n}; expected 2 or 4")
     matrices = _gell_mann(n)
@@ -261,13 +266,17 @@ def bloch_vector(rho) -> np.ndarray:
 
 
 def density_from_bloch(components, n: int) -> np.ndarray:
-    """Rebuild the matrix I/n + (1/2) sum_i components_i g_i; a non-finite sum of squares raises."""
+    """Rebuild the matrix I/n + (1/2) sum_i components_i g_i; a non-finite sum of squares raises.
+
+    The sum is the transpose of ``bloch_vector``'s read: the components times
+    the same real rows of ``generators(n)``, read back as complex entries.
+    """
     v = np.asarray(components, dtype=float)
     gs = generators(n)
     if v.shape != (len(gs),):
         raise ValueError(f"expected {len(gs)} components, got shape {v.shape}")
     _bounded(v, "components", shown=components)
-    return np.eye(n, dtype=complex) / n + 0.5 * np.einsum("i,iab->ab", v, gs.stack())
+    return np.eye(n, dtype=complex) / n + 0.5 * _compose(v, _real_rows(gs.stack()), n)
 
 
 def _mu_ratio(mu, half_offset):
@@ -293,16 +302,15 @@ def generator_representative(i: int, mu: int, nu: int, dim: int = 4) -> float:
     """Phase-space representative R_i(mu, nu) of generator i, read from the convention's table.
 
     Total over all integer points: the grid indices enter through their
-    residues modulo the dimension.  A bool or non-integer index raises
-    ValueError, a generator index outside [0, dim^2 - 1) IndexError.  For
+    residues modulo the dimension.  A bool or non-integer index or dimension
+    raises ValueError, a generator index outside [0, dim^2 - 1) IndexError.  For
     dimension 2 these are the parities (-1)^nu, (-1)^(mu + nu + 1), (-1)^mu;
     for dimension 4, R_i = Tr[g_i A(mu, nu)] over the cell operators of
     ``su4_kernel()``, the standard closed forms of the four-level convention.
     The diagonal generators agree with the invertible kernel while coherence
     sectors deviate from it (that convention is not informationally complete).
     """
-    if dim not in (2, 4):
-        raise ValueError(f"unsupported dimension {dim}; expected 2 or 4")
+    dim = generators(dim).dim  # the dimension check of generators(n)
     for name, value in (("i", i), ("mu", mu), ("nu", nu)):
         _generator_index(name, value)
     _generator_index("i", i, dim * dim - 1)

@@ -48,8 +48,9 @@ def _clock_shift(eta: int, xi: int, n: int) -> np.ndarray:
 
 def _per_dimension(build):
     # build once per dimension: a bool or non-integer n raises ValueError, and the cache is keyed
-    # on int(n), so a numpy integer finds what its int built; __wrapped__ is the uncached build.
-    # An int, the common case, skips the check (0.6 against 0.2 us per lookup)
+    # on int(n), so a numpy integer finds what its int built; __wrapped__ is the uncached build
+    # and cache_info the cache's.  An int, the common case, skips the check (0.6 against 0.2 us
+    # per lookup)
     cached = lru_cache(maxsize=None)(build)
 
     @wraps(build)
@@ -59,6 +60,7 @@ def _per_dimension(build):
             n = int(n)
         return cached(n)
 
+    lookup.cache_info = cached.cache_info
     return lookup
 
 
@@ -178,6 +180,12 @@ def _real_rows(stack) -> np.ndarray:
     # two rows is Re Tr[A† B]; a view, not a copy, of a C-contiguous complex stack
     s = np.ascontiguousarray(stack, dtype=complex)
     return s.reshape(-1, s.shape[-1] ** 2).view(float)
+
+
+def _compose(t, rows, n: int) -> np.ndarray:
+    # the transpose of a read through _real_rows: for rows = _real_rows(B) and real t, the n x n
+    # matrix sum_k t_k B_k, as the real row t @ rows read back as complex entries
+    return (t @ rows).view(complex).reshape(n, n)
 
 
 def _hermitizing_phases(n: int) -> np.ndarray:
@@ -309,7 +317,10 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     raises.  Up to ``_TABLE_MAX`` (11) the sum is the transpose of
     ``wigner_grid``'s one real product: the grid times the table's real
     rows, read as complex entries and divided by n, exact because the family
-    is trace-orthogonal with Tr[G† G] = n.  Above 11 it is the adjoint of
+    is trace-orthogonal with Tr[G† G] = n.  This is the package's one compose
+    rule, sum_k t_k B_k over the real rows its read takes, by which
+    ``fano_matrix``, ``density_from_bloch`` and ``XState.matrix`` compose
+    their coordinates too.  Above 11 it is the adjoint of
     ``wigner_grid``'s steps on the half spectrum xi < h = n // 2 + 1, in
     O(n^3) time and O(n^2) memory, as the result is Hermitian: the DFT
     along nu for xi < h, one real product of the real grid with the cached
@@ -338,7 +349,7 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     if not math.isfinite(np.vdot(w, w)):  # the rule holds sum W^2 / n, as n times it may overflow
         _bounded(w / math.sqrt(n), "grid values")
     if not kern._factored:
-        return (w.ravel() @ kern._rows).view(complex).reshape(n, n) / n
+        return _compose(w.ravel(), kern._rows, n) / n
     # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi) for xi < h; W F̄
     # is one real product with the real view of F̄'s first h columns, so W is never cast to complex
     r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.half).view(complex)))

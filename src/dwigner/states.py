@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import _real_rows
+from .kernel import _compose, _real_rows
 from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_tolerance, hermitian_matrix
 from .twoqubit import _FIRST, _HALVES, _SECOND, _fano_grid, _grid, _qubit, _signature, _stacked_map
 from .twoqubit import FanoCoefficients, fano_matrix, wigner_pair
@@ -180,12 +180,14 @@ class XState:
         return self._vector[:4].copy()
 
     def matrix(self) -> np.ndarray:
-        m = np.diag(self.populations).astype(complex)
-        m[0, 3] = self.rho14
-        m[3, 0] = np.conj(self.rho14)
-        m[1, 2] = self.rho23
-        m[2, 1] = np.conj(self.rho23)
-        return m
+        """The 4x4 matrix sum_k t_k B_k over the X basis, a new array on each call.
+
+        It is the transpose of ``xstate_from_matrix``'s read: the stored vector
+        times the same real rows of the basis, read back as complex entries.
+        A zero cell sums the +0.0 term of a positive population, so it is +0.0,
+        never -0.0.
+        """
+        return _compose(self._vector, _X_ROWS, 4)
 
     def is_physical(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         tol = _checked_tolerance(tol)
@@ -201,10 +203,12 @@ _X_BASIS[range(4), range(4), range(4)] = 1.0
 # each coherence's pair of cells (rho14, rho41), then (rho23, rho32): ones for Re, (i, -i) for Im
 _X_BASIS[range(4, 8), [0, 0, 1, 1], [3, 3, 2, 2]] = (1, 1j, 1, 1j)
 _X_BASIS[range(4, 8), [3, 3, 2, 2], [0, 0, 1, 1]] = (1, -1j, 1, -1j)
-# the basis's real rows scaled by 1 / Tr[B_k^2], and the flat indices of the cells no B_k touches
-_X_READ = _real_rows(_X_BASIS) / (np.abs(_X_BASIS) ** 2).sum(axis=(1, 2))[:, None]
+# the basis's real rows, those rows scaled by 1 / Tr[B_k^2], and the flat indices of the cells no
+# B_k touches
+_X_ROWS = _real_rows(_X_BASIS)
+_X_READ = _X_ROWS / (np.abs(_X_BASIS) ** 2).sum(axis=(1, 2))[:, None]
 _X_OFF = np.flatnonzero(~_X_BASIS.any(axis=0))
-for _table in (_X_BASIS, _X_READ, _X_OFF):
+for _table in (_X_BASIS, _X_ROWS, _X_READ, _X_OFF):
     _table.flags.writeable = False
 
 

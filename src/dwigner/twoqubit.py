@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .generators import density_from_bloch, generators, su4_kernel
-from .kernel import MappingKernel, _real_rows, kernel, wigner_grid
+from .kernel import MappingKernel, _compose, _real_rows, kernel, wigner_grid
 from .linalg import DensityMatrix, _bounded, hermitian_matrix, validate_density
 
 
@@ -114,8 +114,14 @@ def _pauli_rows() -> np.ndarray:
 
 
 def fano_matrix(f: FanoCoefficients) -> np.ndarray:
-    """Compose the 4x4 matrix; defined for any coefficients, physical or not."""
-    return (np.eye(4, dtype=complex) + np.einsum("k,kij->ij", f._vector[1:], _pauli_products())) / 4.0
+    """Compose the 4x4 matrix (I + sum_k t_k P_k) / 4; defined for any coefficients, physical or not.
+
+    The sum is the transpose of ``fano_extract``'s read: [a, b, vec c] times the
+    same real rows of the Pauli products, read back as complex entries.  The
+    identity is added outside the product: as a 16th row it would change the
+    last bits of Werner matrices.
+    """
+    return (np.eye(4, dtype=complex) + _compose(f._vector[1:], _pauli_rows(), 4)) / 4.0
 
 
 def fano_compose(f: FanoCoefficients, tol: float | None = None) -> DensityMatrix:
@@ -288,5 +294,10 @@ def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
 
 
 def density_from_su4_coefficients(coeffs) -> np.ndarray:
-    """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4; a non-finite sum of squares raises."""
-    return density_from_bloch(np.asarray(coeffs, dtype=float) / 2.0, 4)
+    """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4; a non-finite sum of squares raises.
+
+    The rule is held on the coefficients as given, before they are halved
+    into ``density_from_bloch``'s components, and a refusal echoes them.
+    """
+    c = _bounded(np.asarray(coeffs, dtype=float), "components", shown=coeffs)
+    return density_from_bloch(c / 2.0, 4)

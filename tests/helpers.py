@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from dwigner import FanoCoefficients, XState, kernel
+from dwigner import FanoCoefficients, XState, generators, kernel
 from dwigner.kernel import _real_rows
+from dwigner.twoqubit import _pauli_products
 
 
 def hermitizing_phase(eta, xi, n):
@@ -107,3 +108,24 @@ def reference_reconstruct(values):
     rho.put(f.mirror, r.conj())
     rho.put(f.gather, r)
     return rho
+
+
+def reference_fano_matrix(f):
+    """``fano_matrix(f)`` as the einsum over the complex (15, 4, 4) Pauli-product stack, as an oracle."""
+    return (np.eye(4, dtype=complex) + np.einsum("k,kij->ij", f._vector[1:], _pauli_products())) / 4.0
+
+
+def reference_density_from_bloch(components, n):
+    """``density_from_bloch(components, n)`` as the einsum over the generator stack, as an oracle."""
+    v = np.asarray(components, dtype=float)
+    return np.eye(n, dtype=complex) / n + 0.5 * np.einsum("i,iab->ab", v, generators(n).stack())
+
+
+def reference_xstate_matrix(x):
+    """``x.matrix()`` written cell by cell from the fields, as an oracle."""
+    m = np.diag(x.populations).astype(complex)
+    m[0, 3] = x.rho14
+    m[3, 0] = np.conj(x.rho14)
+    m[1, 2] = x.rho23
+    m[2, 1] = np.conj(x.rho23)
+    return m

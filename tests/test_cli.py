@@ -38,6 +38,14 @@ def test_state_matrix_emission(capsys):
     np.testing.assert_allclose(parse_matrix(out), bell("phi+"), atol=1e-15)
 
 
+def test_state_matrix_has_no_negative_zero(capsys):
+    # the zero coherences of ph:x=0 are composed, like every cell, as sums that hold a +0.0 term
+    assert main(["state", "--name", "ph:x=0", "--emit", "matrix"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    np.testing.assert_array_equal(parse_matrix(out), np.diag([1.0, 0, 0, 0]))
+
+
 def test_state_level_and_munro(capsys):
     assert main(["state", "--name", "level:2", "--emit", "matrix"]) == 0
     rho = parse_matrix(capsys.readouterr().out)

@@ -35,6 +35,22 @@ def test_unsupported_dimension():
         generators(3)
 
 
+@pytest.mark.parametrize("n", (4.0, True, "4"))
+def test_generators_refuse_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        generators(n)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        density_from_bloch(np.zeros(15), n)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        generator_representative(0, 0, 0, dim=n)
+
+
+def test_generators_of_a_numpy_integer_are_the_cached_set():
+    assert generators(np.int64(4)) is generators(4)
+    assert generators(np.int32(2)) is generators(2)
+    assert generator_representative(7, 2, 3, dim=np.int64(4)) == generator_representative(7, 2, 3)
+
+
 def test_eighth_generator_matrix():
     np.testing.assert_allclose(
         generators(4)[7], np.diag([1, 1, -2, 0]) / np.sqrt(3), atol=1e-15

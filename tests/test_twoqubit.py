@@ -338,6 +338,20 @@ def test_density_from_su4_coefficients_refuses_finite_coefficients_whose_squares
             density_from_su4_coefficients([1e308] * 15)
 
 
+def test_density_from_su4_coefficients_holds_the_rule_on_the_coefficients_as_given():
+    # their squares overflow, although those of the halved components would not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="components are too large: the sum of their squared magnitudes"):
+            density_from_su4_coefficients([6e153] * 15)
+
+
+def test_density_from_su4_coefficients_echoes_the_coefficients_as_given():
+    coeffs = [np.nan, 2.0] + [0] * 13
+    with pytest.raises(ValueError, match=r"components must be finite, got \[nan, 2\.0, 0, "):
+        density_from_su4_coefficients(coeffs)
+
+
 def test_pair_index_map():
     assert pair_index(0, 0) == 0
     assert pair_index(0, 1) == 1
