@@ -272,10 +272,22 @@ def density_from_bloch(components, n: int) -> np.ndarray:
     the same real rows of ``generators(n)``, read back as complex entries.
     """
     v = np.asarray(components, dtype=float)
+    gs = _generators_for(v, n)
+    return _bloch_density(_bounded(v, "components", shown=components), gs)
+
+
+def _generators_for(v, n: int) -> GeneratorSet:
+    # generators(n), once v is known to hold one component for each of them
     gs = generators(n)
     if v.shape != (len(gs),):
         raise ValueError(f"expected {len(gs)} components, got shape {v.shape}")
-    _bounded(v, "components", shown=components)
+    return gs
+
+
+def _bloch_density(v, gs: GeneratorSet) -> np.ndarray:
+    # I/n + (1/2) sum_i v_i g_i for components that have passed the acceptance rule where they
+    # entered the library, so it is held once
+    n = gs.dim
     return np.eye(n, dtype=complex) / n + 0.5 * _compose(v, _real_rows(gs.stack()), n)
 
 
@@ -356,7 +368,7 @@ def wigner_su2(p) -> np.ndarray:
     _bounded(p, "components", norm_sq, shown=p)
     if norm_sq > 1.0 + DEFAULT_TOLERANCE:
         raise ValueError(f"polarization vector lies outside the unit ball: |P|^2 = {norm_sq}")
-    return wigner_grid(density_from_bloch(p, 2))
+    return wigner_grid(_bloch_density(p, generators(2)))
 
 
 def wigner_su4(rho) -> np.ndarray:

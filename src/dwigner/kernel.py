@@ -20,10 +20,10 @@ from .linalg import DensityMatrix, _bounded, _checked_integer, _hermitian_entrie
 
 # Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
 # built on first use) instead of its factors.  Per wigner_grid + reconstruct call (Xeon, numpy
-# 2.4 with OpenBLAS on one thread), table time over half-spectrum DFT-step time, each run the
-# median of 21 alternated rounds: 0.70-0.71 at n = 8-9 and 0.78-0.86 at 10-11; at 12 the two
-# were even (0.83-1.09, median 1.03 over 13 runs), and from 13 on the table was slower
-# (1.01-1.09 at 13, 1.2-1.3 at 14).  Where the times are even, the O(n^2) path wins on memory.
+# 2.4 with OpenBLAS on one thread), table time over shifted-profile step time, each the median
+# of 21 alternated rounds: 0.71 at n = 8, 0.92 at 10 and 1.10 at 12 for even n, where the steps
+# take one circulant product; 1.28 at 9, 1.48 at 11 and 1.79 at 13 for odd n, where they take
+# none (1.03 at 5, 1.11 at 7).  The table stays the path up to 11, so no grid there changes bits.
 _TABLE_MAX = 11
 
 
@@ -101,30 +101,33 @@ class PhasePointFactors:
     """The tables from which ``kernel(n)`` is evaluated, above ``_TABLE_MAX``, without its n^4 table.
 
     They take O(n^2) memory and cover the half spectrum xi = 0 .. h - 1, h = n // 2 + 1, as
-    every cell operator is Hermitian (see ``kernel``).  ``dft[a, b] = w^(ab)`` and ``dft_h`` is
-    its conjugate, n x n; ``spectrum[k, xi] = (dft conj(c))[k, xi] / n``, the conjugate of
-    F† c / n, diagonalizes the cyclic correlation in j of the closed form; ``adjoint =
-    conj(spectrum) / n`` is the same diagonal for ``reconstruct``, its conjugate and the 1/n of
-    the inverse taken once, at build time; ``gather[j, xi] = j n + (j + xi) mod n`` is the flat
-    index of rho[j, (j + xi) mod n] and ``mirror[j, xi] = ((j + xi) mod n) n + j`` that of
-    rho[(j + xi) mod n, j]; all four are n x h.  ``scatter``, n x n, is their inverse: the flat
-    index into (conj(R) over R), 2 n h entries, of the value ``reconstruct`` writes to each
-    rho[j, k], R's own where the gather and the mirror meet.  The two real ends: ``half`` is the
-    real (n, 2 h) view of dft_h[:, :h], so W F̄[:, :h] is one real product with it, and ``fold``
-    is the real (2 h, n) table of weight(xi) (Re F over -Im F) for xi < h, weight 1 at xi = 0
-    and at xi = n / 2 for even n and 2 between, so Re[Y F] is one real product with Y's first h
-    columns.
+    every cell operator is Hermitian (see ``kernel``), with each column c[m, xi] =
+    p[(m + s) mod n] read through its shift s.  The gathered block's columns are the half
+    spectrum, its dense-profile columns first (the odd xi at even n, none at odd n), and at even
+    n the e = n // 4 two-point columns once more.  ``gather[j, col]`` is the flat index of
+    rho[j - s, j - s + xi] (mod n), n / 2 rows further on in the two-point columns' second
+    block: a gathered delta column is already correlated, and a two-point column reads its row
+    and the row n / 2 below.  ``mirror`` indexes rho[j - s + xi, j - s]; both are n x (h + e).
+    ``scatter``, n x n, inverts their first h columns: the flat index into (conj(R) over R),
+    2 n h entries, of the value ``reconstruct`` writes to each rho[j, k], R's own where the
+    gather and the mirror meet.  ``circulant[mu, j] = conj(p[(j - mu) mod n])`` for the dense
+    profile p, n x n at even n and empty at odd n, correlates the dense columns.  The two real
+    ends: ``fold``, real (2 (h + e), n), holds weight(xi) times the profile's value (1, or
+    (1 + i)/2 and (1 - i)/2 on the two-point blocks) times F̄ for each column as (Re over Im)
+    rows, weight 1 at xi = 0 and at xi = n / 2 for even n and 2 between, so Re[Y F] is one real
+    product with the gathered block; ``unfold``, real (b n, 2 h), is the same columns conjugated
+    and over n, its second block of rows (at even n, b = 2) nonzero on the two-point columns
+    only, and ``spread``, n x b n, the flat index of the grid's rows and at even n its rows
+    n / 2 down, so conj(R) before the dense columns' correlation is one real product.
     """
 
-    dft: np.ndarray
-    dft_h: np.ndarray
-    spectrum: np.ndarray
-    adjoint: np.ndarray
     gather: np.ndarray
     mirror: np.ndarray
     scatter: np.ndarray
-    half: np.ndarray
+    circulant: np.ndarray
     fold: np.ndarray
+    spread: np.ndarray
+    unfold: np.ndarray
 
 
 class MappingKernel:
@@ -139,12 +142,13 @@ class MappingKernel:
     acceptance rule, checked once.  ``kernel(n)`` carries ``factors`` instead
     of a stack, at every n, and its read-only ``ops`` table is built only on
     first access.  Above ``_TABLE_MAX`` (11), ``wigner_grid`` and
-    ``reconstruct`` evaluate it from the factors in O(n^2) memory, and the
-    table is never built; up to 11, where one real product is faster than
-    the DFT products, they read the table's real rows like those of every
-    other stack, so the first call builds it (16 n^4 bytes).  Every stack in
-    the package is C-contiguous, so the real (cells, 2 n^2) rows that
-    ``wigner_grid`` and ``reconstruct`` contract are a view of it, not a copy.
+    ``reconstruct`` evaluate it from the factors, shifted gathers and at most
+    one circulant product, in O(n^2) memory, and the table is never built;
+    up to 11, where one real product is faster than those steps, they read
+    the table's real rows like those of every other stack, so the first
+    call builds it (16 n^4 bytes).  Every stack in the package is
+    C-contiguous, so the real (cells, 2 n^2) rows that ``wigner_grid`` and
+    ``reconstruct`` contract are a view of it, not a copy.
     """
 
     def __init__(self, dim: int, ops: np.ndarray | None = None, factors: PhasePointFactors | None = None):
@@ -199,25 +203,40 @@ def _hermitizing_phases(n: int) -> np.ndarray:
     return np.where((products != 0) & ((idx[:, None] + idx) % 2 == 1), 1j, 1.0)
 
 
-def _cell_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the DFT matrix w^(ab) and c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m)
+def _cell_coefficients(n: int) -> np.ndarray:
+    # c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m), as one O(n^3) DFT-matrix product
     idx = np.arange(n)
-    h = _hermitizing_phases(n)
     products = np.outer(idx, idx)
     half = np.exp(1j * np.pi * (products % (2 * n)) / n)  # w^(eta xi / 2)
     dft = np.exp(2j * np.pi * (products % n) / n)  # w^(m eta)
-    return dft, dft @ (h * half) / n
+    return dft @ (_hermitizing_phases(n) * half) / n
 
 
 def _phase_point_table(n: int) -> np.ndarray:
     # G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi], xi = (k - j) mod n: O(n^4) in time and memory
-    _, c = _cell_coefficients(n)
+    c = _cell_coefficients(n)
     idx = np.arange(n)
     diff = (idx[None, :] - idx[:, None]) % n  # diff[a, b] = (b - a) mod n
     shift = np.exp(-2j * np.pi * (np.multiply.outer(idx, diff) % n) / n)  # w^(-nu xi)[nu, j, k]
     ops = c[diff[:, :, None], diff[None, :, :]][:, None] * shift[None]
     ops.flags.writeable = False
     return ops
+
+
+def _profile_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the class of each column xi < n of c (0 delta, 1 two-point, 2 dense) and its shift s, as
+    # c[m, xi] = profile[(m + s) mod n]: at odd n every column is a delta, s = xi (n + 1) / 2 mod n;
+    # at even n, s = xi // 2, and the column is a delta at xi = 0, two-point at even xi, dense at odd
+    xi = np.arange(n)
+    if n % 2 == 1:
+        return np.zeros(n, dtype=int), xi * ((n + 1) // 2) % n
+    return np.where(xi == 0, 0, np.where(xi % 2 == 0, 1, 2)), xi // 2
+
+
+def _dense_columns(n: int) -> int:
+    # how many columns of the half spectrum have the dense profile (odd xi <= n / 2 at even n, none
+    # at odd n); they lead the gathered block
+    return (n + 2) // 4 if n % 2 == 0 else 0
 
 
 @_per_dimension
@@ -227,35 +246,60 @@ def kernel(n: int) -> MappingKernel:
     G(mu, nu) = n^(-1/2) sum_{eta, xi < n} w^(-(mu eta + nu xi)) h(eta, xi) S(eta, xi) over the
     symmetrized basis S with hermitizing phase h.  As u^eta v^xi puts w^(eta j) at (j, j + xi),
     G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi] with xi = (k - j) mod n and
-    c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m).  So a grid is a gather of rho
-    along its cyclic diagonals, a cyclic correlation in j with c (diagonal under the DFT) and
-    one DFT along xi (Vourdas, Rep. Prog. Phys. 67, 267 (2004)).  Every G is Hermitian, so
-    c[(m + xi) mod n, -xi] = conj(c[m, xi]): for a Hermitian rho the correlated column n - xi
-    is the conjugate of column xi, and the steps need only the half spectrum xi <= n / 2.  The
-    kernel carries only the O(n^2) ``PhasePointFactors`` of these steps, built in O(n^3); its
-    ``ops`` table is built in O(n^4) time and 16 n^4 bytes only on first access.  Above
-    ``_TABLE_MAX`` (11) ``wigner_grid`` and ``reconstruct`` take the steps, in O(n^3) time and
-    O(n^2) memory, and the table is never built.  Up to 11 one real product with the table's
-    rows is faster than the DFT products, so there the first ``wigner_grid`` or
-    ``reconstruct`` builds it.  A bool or non-integer n raises ``ValueError``, as does n < 2;
-    the cache is keyed on int(n), so ``kernel(np.int64(4)) is kernel(4)``.
+    c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m).  Every column of c is a cyclic
+    shift of one of at most three profiles, c[m, xi] = p[(m + s) mod n].  At odd n every column
+    is the delta at 0, with s = xi (n + 1) / 2 mod n, so each G(mu, nu) is a displaced parity
+    with n nonzero entries, G(0, 0) being |k> -> |-k> (Gross, J. Math. Phys. 47, 122107 (2006)).
+    At even n, s = xi // 2, and the column is the delta at xi = 0, the two-point profile
+    (1 + i)/2 at 0 and (1 - i)/2 at n / 2 at even xi, and one dense profile at odd xi.  So a
+    grid is a gather of rho along its cyclic diagonals, a cyclic correlation in j with c that is
+    index arithmetic but for the dense columns, and one DFT along xi (Vourdas, Rep. Prog. Phys.
+    67, 267 (2004)).  Every G is Hermitian, so c[(m + xi) mod n, -xi] = conj(c[m, xi]): for a
+    Hermitian rho the correlated column n - xi is the conjugate of column xi, and the steps need
+    only the half spectrum xi <= n / 2.  The kernel carries only the O(n^2)
+    ``PhasePointFactors`` of these steps, built in O(n^2) time; its ``ops`` table is built in
+    O(n^4) time and 16 n^4 bytes only on first access.  Above ``_TABLE_MAX`` (11)
+    ``wigner_grid`` and ``reconstruct`` take the steps, in O(n^3) time and O(n^2) memory, and
+    the table is never built.  Up to 11 one real product with the table's rows is faster than
+    the steps, so there the first ``wigner_grid`` or ``reconstruct`` builds it.  A bool or
+    non-integer n raises ``ValueError``, as does n < 2; the cache is keyed on int(n), so
+    ``kernel(np.int64(4)) is kernel(4)``.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    dft, c = _cell_coefficients(n)
-    dft_h = dft.conj()
     h = n // 2 + 1
-    spectrum = dft @ c[:, :h].conj() / n
+    kind, shift = _profile_shifts(n)
+    # the gathered block's columns: the half spectrum, dense columns first, then the two-point
+    # columns again, each read n / 2 rows down
+    order = np.argsort(-kind[:h], kind="stable")
+    columns = np.concatenate((order, order[kind[order] == 1]))
+    rolled = np.arange(len(columns)) >= h
     idx = np.arange(n)
-    diagonals = (idx[:, None] + idx[:h]) % n  # (j + xi) mod n
-    weights = np.where((idx[:h] == 0) | (2 * idx[:h] == n), 1.0, 2.0)
-    fold = np.ascontiguousarray((dft_h[:, :h] * weights).view(float).T)
-    gather, mirror = idx[:, None] * n + diagonals, diagonals * n + idx[:, None]
+    rows = (idx[:, None] + np.where(rolled, n // 2, 0) - shift[columns]) % n
+    diagonals = (rows + columns) % n
+    gather, mirror = rows * n + diagonals, diagonals * n + rows
     scatter = np.empty((n, n), dtype=np.intp)  # into (conj(R) over R): mirror first, gather wins
-    scatter.put(mirror, np.arange(n * h))
-    scatter.put(gather, np.arange(n * h, 2 * n * h))
-    half = dft_h[:, :h].view(float)
-    tables = (dft, dft_h, spectrum, spectrum.conj() / n, gather, mirror, scatter, half, fold)
+    scatter.put(mirror[:, :h], np.arange(n * h))
+    scatter.put(gather[:, :h], np.arange(n * h, 2 * n * h))
+    # each column's profile value at 0, and the two-point's (1 - i)/2 at n / 2 on its rolled read
+    value = np.where(rolled, (1 - 1j) / 2, np.where(kind[columns] == 1, (1 + 1j) / 2, 1.0))
+    weights = np.where((columns == 0) | (2 * columns == n), 1.0, 2.0)
+    roots = np.exp(2j * np.pi * idx / n)
+    dft = roots[np.outer(idx, columns) % n]  # w^(nu xi)
+    fold = np.ascontiguousarray((dft.conj() * (weights * value)).view(float).T)
+    # reconstruct reads the grid's rows and, at even n, its rows n / 2 down, in one take
+    blocks = 2 - n % 2
+    spread = ((idx[:, None] + np.arange(blocks) * (n // 2)) % n * n)[:, :, None] + idx
+    unfold = np.zeros((blocks * n, h), dtype=complex)
+    unfold[:n] = dft[:, :h] * value[:h].conj() / n
+    circulant = np.zeros((0, 0), dtype=complex)  # no dense profile at odd n
+    if n % 2 == 0:
+        unfold[n:, kind[columns[:h]] == 1] = dft[:, h:] * value[h:].conj() / n
+        # the dense profile c[m, 1] = (1/n) sum_eta h(eta, 1) w^(eta / 2 + eta m), a length-n sum per m
+        phases = _hermitizing_phases(n)[:, 1] * np.exp(1j * np.pi * idx / n)
+        profile = roots[np.outer(idx, idx) % n] @ phases / n
+        circulant = profile.conj()[(idx[None, :] - idx[:, None]) % n]  # conj(p[(j - mu) mod n])
+    tables = (gather, mirror, scatter, circulant, fold, spread.reshape(n, -1), unfold.view(float))
     for table in tables:
         table.flags.writeable = False
     return MappingKernel(dim=n, factors=PhasePointFactors(*tables))
@@ -267,12 +311,16 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
     density matrix.  Over ``kernel(n)`` with n above ``_TABLE_MAX`` (11)
     the values take O(n^3) time and O(n^2) memory, on the half spectrum
-    xi < h = n // 2 + 1 of the Hermitian rho: gather
-    R[j, xi] = rho[j, (j + xi) mod n], correlate R with conj(c) along j
-    through two n x n by n x h DFT products and the cached spectrum, and
-    take the real part of the DFT along xi, folded over the half spectrum,
-    as one real product with the cached (2 h, n) ``fold`` table, so no
-    complex grid is formed.  Over any other stack, and over
+    xi < h = n // 2 + 1 of the Hermitian rho, with each column of c a
+    profile p shifted by s (see ``kernel``): one ``take`` gathers
+    rho[j - s, j - s + xi], which is the correlation in j for a delta
+    column, and for a two-point column adds its rows n / 2 down as a second
+    block; the q = ceil(n / 4) dense columns (odd xi at even n) take one
+    n x n by n x q complex product with the cached ``circulant``; and the
+    real part of the DFT along xi, folded over the half spectrum and over
+    the two-point constants, is one real product with the cached ``fold``
+    table, so no complex grid is formed.  At odd n every column is a delta
+    and there is no complex product.  Over any other stack, and over
     ``kernel(n)`` up to 11, they are one real matrix-vector product,
     Re Tr[G† rho] as the dot product of the stack's real (cells, 2 n^2)
     rows, a view of it, with rho's.  A DensityMatrix is exactly Hermitian;
@@ -291,16 +339,19 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     if kern is None:
         kern = kernel(a.shape[0])
     if kern._factored and kern.dim == a.shape[0]:
-        # W(mu, nu) = Re sum_xi w^(nu xi) Y[mu, xi], Y[mu, xi] = sum_j conj(c[(j - mu) mod n, xi])
-        # R[j, xi]; as Y[mu, n - xi] = conj(Y[mu, xi]), the sum folds onto xi < h, one real product
+        # W(mu, nu) = Re sum_xi w^(nu xi) Y[mu, xi], Y[mu, xi] = sum_j conj(p[(j - mu) mod n]) r[j, xi]
+        # for r gathered through the shift; as Y[mu, n - xi] = conj(Y[mu, xi]), the sum folds onto
+        # xi < h, and with the two-point constants in ``fold`` it is one real product
         f = kern.factors
         r = a.take(f.gather)
         if raw:
             # every pair (j, k) is read once, through the gather or the mirror, so this is the
             # whole guard, and (r + r')/2 is the gather of (a + a†)/2
             r = _hermitian_entries(r, a.take(f.mirror).conj())
-        y = f.dft @ (f.spectrum * (f.dft_h @ r))
-        return y.view(float) @ f.fold
+        q = _dense_columns(kern.dim)
+        if q:
+            r[:, :q] = f.circulant @ r[:, :q]
+        return r.view(float) @ f.fold
     if raw:
         a = _hermitian_entries(a, a.conj().T)
     if kern.dim != a.shape[0]:
@@ -320,20 +371,21 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     is trace-orthogonal with Tr[G† G] = n.  This is the package's one compose
     rule, sum_k t_k B_k over the real rows its read takes, by which
     ``fano_matrix``, ``density_from_bloch`` and ``XState.matrix`` compose
-    their coordinates too.  Above 11 it is the adjoint of
-    ``wigner_grid``'s steps on the half spectrum xi < h = n // 2 + 1, in
-    O(n^3) time and O(n^2) memory, as the result is Hermitian: the DFT
-    along nu for xi < h, one real product of the real grid with the cached
-    real (n, 2 h) ``half`` view, so the grid is never cast to complex; the
-    cyclic convolution in mu with c through two n x n by n x h DFT products
-    and the cached spectrum; and a scatter of each R[j, xi] to
-    rho[j, (j + xi) mod n] and of its conjugate to rho[(j + xi) mod n, j],
+    their coordinates too.  Above 11 it is the adjoint of ``wigner_grid``'s
+    steps through the same shifted index, on the half spectrum
+    xi < h = n // 2 + 1, in O(n^3) time and O(n^2) memory, as the result is
+    Hermitian: one real product of the grid's rows, and at even n of its
+    rows n / 2 down (one ``take`` through the cached ``spread``), with the
+    cached real ``unfold`` table, so the grid is never cast to complex; the
+    circulant's transpose on the dense columns; and a scatter of each
+    R[j, xi] to rho[j - s, j - s + xi] and of its conjugate to the mirror,
     one ``take`` from (conj(R) over R) through the cached ``scatter`` index,
     which keeps the values computed directly where the two meet (the
     diagonal, and xi = n / 2 for even n).  The steps are taken conjugated,
-    so the conjugate and the 1/n of the sum come from the cached
-    ``adjoint`` diagonal, with no pass of their own over the result.  A grid in any memory order, or a nested list, is read
-    by index, taken in C order, so every order gives the same bits.
+    so the conjugate and the 1/n of the sum sit in ``unfold``, with no pass
+    of their own over the result.  A grid in any memory order, or a nested
+    list, is read by index, taken in C order, so every order gives the same
+    bits.
     """
     w = np.ascontiguousarray(values, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -350,10 +402,14 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         _bounded(w / math.sqrt(n), "grid values")
     if not kern._factored:
         return _compose(w.ravel(), kern._rows, n) / n
-    # R[j, xi] = (1/n) sum_mu c[(j - mu) mod n, xi] sum_nu W(mu, nu) w^(-nu xi) for xi < h; W F̄
-    # is one real product with the real view of F̄'s first h columns, so W is never cast to complex
-    r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.half).view(complex)))
-    return np.concatenate((r.conj(), r)).take(f.scatter)
+    # conj(R)[j, xi] = (1/n) sum_mu conj(p[(j - mu) mod n]) sum_nu W(mu, nu) w^(nu xi) for xi < h,
+    # R read through the shifted gather: index arithmetic and the two-point constants in one real
+    # product, then the circulant's transpose on the dense columns
+    v = (w.take(f.spread) @ f.unfold).view(complex)
+    q = _dense_columns(n)
+    if q:
+        v[:, :q] = f.circulant.T @ v[:, :q]
+    return np.concatenate((v, v.conj())).take(f.scatter)
 
 
 def _check_grid(values) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generators import density_from_bloch, generators, su4_kernel
+from .generators import _bloch_density, _generators_for, generators, su4_kernel
 from .kernel import MappingKernel, _compose, _real_rows, kernel, wigner_grid
 from .linalg import DensityMatrix, _bounded, hermitian_matrix, validate_density
 
@@ -151,7 +151,8 @@ def fano_extract(rho) -> FanoCoefficients:
 
 def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
     """Partial trace onto qubit 1 or 2: (I + polarization . sigma) / 2."""
-    return density_from_bloch((f.a, f.b)[_qubit(which)], 2)
+    # the Fano vector passed the acceptance rule when it was built
+    return _bloch_density((f.a, f.b)[_qubit(which)], generators(2))
 
 
 def _qubit(which: int) -> int:
@@ -296,8 +297,9 @@ def su4_coefficients(f: FanoCoefficients) -> np.ndarray:
 def density_from_su4_coefficients(coeffs) -> np.ndarray:
     """Rebuild the 4x4 matrix (I + sum_i coeffs[i] g_i) / 4; a non-finite sum of squares raises.
 
-    The rule is held on the coefficients as given, before they are halved
-    into ``density_from_bloch``'s components, and a refusal echoes them.
+    The rule is held once, on the coefficients as given, before they are
+    halved into ``density_from_bloch``'s components, and a refusal echoes
+    them; the components are not checked again.
     """
-    c = _bounded(np.asarray(coeffs, dtype=float), "components", shown=coeffs)
-    return density_from_bloch(c / 2.0, 4)
+    v = _bounded(np.asarray(coeffs, dtype=float), "components", shown=coeffs) / 2.0
+    return _bloch_density(v, _generators_for(v, 4))

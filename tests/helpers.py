@@ -1,9 +1,11 @@
 """Shared random-state generators and reference transforms for the test suite."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from dwigner import FanoCoefficients, XState, generators, kernel
-from dwigner.kernel import _real_rows
+from dwigner.kernel import _cell_coefficients, _real_rows
 from dwigner.twoqubit import _pauli_products
 
 
@@ -87,8 +89,11 @@ def reference_wigner_grid(rho):
     if not kern._factored:
         return (kern._rows @ _real_rows(a)[0]).reshape(n, n)
     f = kern.factors
-    y = f.dft @ (f.spectrum * (f.dft_h @ a.take(f.gather)))
-    return y.view(float) @ f.fold
+    r = a.take(f.gather)
+    q = _dense_block(f)
+    if q:
+        r[:, :q] = f.circulant @ r[:, :q]
+    return r.view(float) @ f.fold
 
 
 def reference_reconstruct(values):
@@ -103,11 +108,85 @@ def reference_reconstruct(values):
     if not kern._factored:
         return (w.ravel() @ kern._rows).view(complex).reshape(n, n) / n
     f = kern.factors
-    r = f.dft @ (f.adjoint * (f.dft_h @ (w @ f.half).view(complex)))
+    r_conj = (w.take(f.spread) @ f.unfold).view(complex)
+    q = _dense_block(f)
+    if q:
+        r_conj[:, :q] = f.circulant.T @ r_conj[:, :q]
+    h = r_conj.shape[1]
     rho = np.empty((n, n), dtype=complex)
-    rho.put(f.mirror, r.conj())
-    rho.put(f.gather, r)
+    rho.put(f.mirror[:, :h], r_conj)
+    rho.put(f.gather[:, :h], r_conj.conj())
     return rho
+
+
+def _dense_block(f):
+    # the width of the gathered block's leading dense-profile columns, from the table shapes: none
+    # at odd n, where the circulant is empty; at even n, the h = unfold columns / 2 of the half
+    # spectrum less the delta at xi = 0 and the e = gather columns - h two-point ones
+    h = f.unfold.shape[1] // 2
+    return h - 1 - (f.gather.shape[1] - h) if len(f.circulant) else 0
+
+
+@lru_cache(maxsize=None)
+def _dft_step_tables(n):
+    # the DFT-matrix factors of the half-spectrum steps, built from c itself: the DFT matrix F and
+    # its conjugate, the spectrum F conj(c) / n of the cyclic correlation and its adjoint over n,
+    # the unshifted gather index j n + (j + xi) mod n and its mirror, and the two real ends
+    c = _cell_coefficients(n)
+    idx = np.arange(n)
+    h = n // 2 + 1
+    dft = np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)
+    dft_h = dft.conj()
+    spectrum = dft @ c[:, :h].conj() / n
+    diagonals = (idx[:, None] + idx[:h]) % n
+    weights = np.where((idx[:h] == 0) | (2 * idx[:h] == n), 1.0, 2.0)
+    fold = np.ascontiguousarray((dft_h[:, :h] * weights).view(float).T)
+    gather, mirror = idx[:, None] * n + diagonals, diagonals * n + idx[:, None]
+    return dft, dft_h, spectrum, spectrum.conj() / n, gather, mirror, dft_h[:, :h].view(float), fold
+
+
+def dft_steps_wigner_grid(rho):
+    """``wigner_grid`` of a Hermitian rho through two DFT-matrix products and the spectrum of c.
+
+    An oracle independent of ``kernel(n)``'s factors: gather R[j, xi] = rho[j, (j + xi) mod n]
+    for xi <= n / 2, correlate with conj(c) along j as F (spectrum * (F̄ R)), and fold the real part
+    of the DFT along xi over the half spectrum.
+    """
+    a = np.asarray(rho, dtype=complex)
+    dft, dft_h, spectrum, _, gather, _, _, fold = _dft_step_tables(a.shape[0])
+    return (dft @ (spectrum * (dft_h @ a.take(gather)))).view(float) @ fold
+
+
+def dft_steps_reconstruct(values):
+    """``reconstruct`` as the adjoint of ``dft_steps_wigner_grid``, scattered with two ``put``s."""
+    w = np.asarray(values, dtype=float)
+    n = w.shape[0]
+    dft, dft_h, _, adjoint, gather, mirror, half, _ = _dft_step_tables(n)
+    r = dft @ (adjoint * (dft_h @ (w @ half).view(complex)))
+    rho = np.empty((n, n), dtype=complex)
+    rho.put(mirror, r.conj())
+    rho.put(gather, r)
+    return rho
+
+
+def table_einsum_transforms(n, rho, values):
+    """The einsums of ``wigner_grid`` and ``reconstruct`` over ``kernel(n).ops``, one mu row at a time.
+
+    Each row is built by ``_phase_point_table``'s own expression, so it equals ``ops[mu]`` bit for
+    bit, in O(n^3) memory rather than the table's 16 n^4 bytes; the sums may take another order.
+    """
+    c = _cell_coefficients(n)
+    idx = np.arange(n)
+    diff = (idx[None, :] - idx[:, None]) % n
+    shift = np.exp(-2j * np.pi * (np.multiply.outer(idx, diff) % n) / n)
+    w = np.asarray(values, dtype=float)
+    grid = np.empty((n, n))
+    back = np.zeros((n, n), dtype=complex)
+    for mu in range(n):
+        ops = c[diff[mu][:, None], diff][None] * shift
+        grid[mu] = np.einsum("nij,ij->n", ops.conj(), rho, optimize=True).real
+        back += np.einsum("n,nij->ij", w[mu], ops, optimize=True)
+    return grid, back / n
 
 
 def reference_fano_matrix(f):
