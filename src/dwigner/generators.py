@@ -7,10 +7,12 @@ diagonal diag(1, ..., 1, -l, 0, ...) divided by sqrt(l(l+1)/2).  The
 Pauli matrices ``PAULI_X, PAULI_Y, PAULI_Z`` are ``generators(2)``.
 
 Covers the algebraic law checks (orthonormality, closure, Jacobi
-identities, trace products), Bloch vectors, the four-level cell-operator
-stack as one closed-form array expression, the phase-space
-representatives of each generator read back from it (the qubit ones are
-parities), and the qubit and four-level phase-space grids.
+identities, trace products), Bloch vectors, the clock/shift polynomial of
+each four-level generator (computed by one gather and one DFT, as for any
+matrix at any N, with the paper's printed table as the test oracle), the
+four-level cell-operator stack as one closed-form array expression, the
+phase-space representatives of each generator read back from it (the qubit
+ones are parities), and the qubit and four-level phase-space grids.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import MappingKernel, _clock_shift, _compose, _per_dimension, _real_rows, wigner_grid
+from .kernel import (
+    MappingKernel, _clock_shift, _clock_shift_coefficients, _compose, _per_dimension, _real_rows, wigner_grid
+)
 from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance, hermitian_matrix
 
 
@@ -86,52 +90,6 @@ def generators(n: int) -> GeneratorSet:
 PAULI_X, PAULI_Y, PAULI_Z = generators(2)
 
 
-# Each dimension-4 generator as a polynomial in the clock/shift pair;
-# terms are (coefficient, clock power, shift power).
-_R3 = np.sqrt(3)
-_R6 = np.sqrt(6)
-_SU4_CLOCK_SHIFT_TERMS = (
-    # 0: coupling of levels 0 and 1, real part
-    ((0.25, 0, 1), (0.25, 0, 3), (0.25, 1, 1), (0.25, 2, 1), (0.25, 3, 1),
-     (-0.25j, 1, 3), (-0.25, 2, 3), (0.25j, 3, 3)),
-    # 1: coupling of levels 0 and 1, imaginary part
-    ((-0.25j, 0, 1), (0.25j, 0, 3), (-0.25j, 1, 1), (-0.25j, 2, 1), (-0.25j, 3, 1),
-     (0.25, 1, 3), (-0.25j, 2, 3), (-0.25, 3, 3)),
-    # 2: population difference of levels 0 and 1
-    (((1 + 1j) / 4, 1, 0), (0.5, 2, 0), ((1 - 1j) / 4, 3, 0)),
-    # 3: coupling of levels 0 and 2, real part
-    ((0.5, 0, 2), (0.5, 2, 2)),
-    # 4: coupling of levels 0 and 2, imaginary part
-    ((-0.5j, 1, 2), (-0.5j, 3, 2)),
-    # 5: coupling of levels 1 and 2, real part
-    ((0.25, 0, 1), (0.25, 0, 3), (-0.25j, 1, 1), (-0.25, 2, 1), (0.25j, 3, 1),
-     (-0.25, 1, 3), (0.25, 2, 3), (-0.25, 3, 3)),
-    # 6: coupling of levels 1 and 2, imaginary part
-    ((-0.25j, 0, 1), (0.25j, 0, 3), (-0.25, 1, 1), (0.25j, 2, 1), (0.25, 3, 1),
-     (-0.25j, 1, 3), (0.25j, 2, 3), (-0.25j, 3, 3)),
-    # 7: diagonal on levels 0, 1 against 2
-    (((3 - 1j) / (4 * _R3), 1, 0), (-1 / (2 * _R3), 2, 0), ((3 + 1j) / (4 * _R3), 3, 0)),
-    # 8: coupling of levels 0 and 3, real part
-    ((0.25, 0, 1), (0.25, 0, 3), (0.25j, 1, 1), (-0.25, 2, 1), (-0.25j, 3, 1),
-     (0.25, 1, 3), (0.25, 2, 3), (0.25, 3, 3)),
-    # 9: coupling of levels 0 and 3, imaginary part
-    ((0.25j, 0, 1), (-0.25j, 0, 3), (-0.25, 1, 1), (-0.25j, 2, 1), (0.25, 3, 1),
-     (-0.25j, 1, 3), (-0.25j, 2, 3), (-0.25j, 3, 3)),
-    # 10: coupling of levels 1 and 3, real part
-    ((0.5, 0, 2), (-0.5, 2, 2)),
-    # 11: coupling of levels 1 and 3, imaginary part
-    ((-0.5, 1, 2), (0.5, 3, 2)),
-    # 12: coupling of levels 2 and 3, real part
-    ((0.25, 0, 1), (0.25, 0, 3), (-0.25, 1, 1), (0.25, 2, 1), (-0.25, 3, 1),
-     (0.25j, 1, 3), (-0.25, 2, 3), (-0.25j, 3, 3)),
-    # 13: coupling of levels 2 and 3, imaginary part
-    ((-0.25j, 0, 1), (0.25j, 0, 3), (0.25j, 1, 1), (-0.25j, 2, 1), (0.25j, 3, 1),
-     (-0.25, 1, 3), (-0.25j, 2, 3), (0.25, 3, 3)),
-    # 14: diagonal on levels 0, 1, 2 against 3
-    ((-1j / _R6, 1, 0), (1 / _R6, 2, 0), (1j / _R6, 3, 0)),
-)
-
-
 def _generator_index(name: str, value, count: int | None = None) -> None:
     # one check for every generator and grid index: the package's integer check and, where a
     # count is given, a generator index in [0, count)
@@ -141,12 +99,16 @@ def _generator_index(name: str, value, count: int | None = None) -> None:
 
 
 def generator_from_schwinger(i: int) -> np.ndarray:
-    """Dimension-4 generator i (0-based) built from its clock/shift polynomial.
+    """Dimension-4 generator i (0-based) summed from its clock/shift polynomial.
 
-    A bool or non-integer i raises ValueError, an integer outside [0, 15) IndexError.
+    Its coefficients chi[eta, xi] = Tr[(u^eta v^xi)† g_i] / 4 are one gather and one DFT, the
+    rule of ``kernel._clock_shift_coefficients`` for any matrix at any N; the paper's printed
+    polynomials are the test oracle.  A bool or non-integer i raises ValueError, an integer
+    outside [0, 15) IndexError.
     """
     _generator_index("i", i, 15)
-    return sum(coeff * _clock_shift(eta, xi, 4) for coeff, eta, xi in _SU4_CLOCK_SHIFT_TERMS[i])
+    chi = _clock_shift_coefficients(generators(4)[i])
+    return sum(c * _clock_shift(eta, xi, 4) for (eta, xi), c in np.ndenumerate(chi))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -36,14 +36,32 @@ class SchwingerPair:
     v: np.ndarray
 
 
-def _clock_shift(eta: int, xi: int, n: int) -> np.ndarray:
-    # (u^eta v^xi)[j, k] = w^(eta j) when k = j + xi (mod n), else 0
+def _checked_indices(eta: int, xi: int, n: int) -> None:
+    # the integer check of a monomial's indices and dimension, and n >= 2 as kernel(n) asks
+    for name, value in (("eta", eta), ("xi", xi), ("dimension", n)):
+        _checked_integer(name, value)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
+
+
+def _clock_shift(eta: int, xi: int, n: int) -> np.ndarray:
+    # (u^eta v^xi)[j, k] = w^(eta j) when k = j + xi (mod n), else 0
+    _checked_indices(eta, xi, n)
     j = np.arange(n)
     m = np.zeros((n, n), dtype=complex)
     m[j, (j + xi) % n] = np.exp(2j * np.pi * (eta * j % n) / n)
     return m
+
+
+def _clock_shift_coefficients(m) -> np.ndarray:
+    # chi[eta, xi] = Tr[(u^eta v^xi)† m] / n, so m = sum chi[eta, xi] u^eta v^xi: as u^eta v^xi puts
+    # w^(eta j) at (j, j + xi), chi = F̄ R / n for the gather R[j, xi] = m[j, (j + xi) mod n] and
+    # F̄[eta, j] = w^(-eta j).  kernel(n)'s grid of a Hermitian m is Re[F̄ (h w^(eta xi / 2) conj(chi)) F̄]
+    a = np.asarray(m, dtype=complex)
+    n = a.shape[0]
+    idx = np.arange(n)
+    dft = np.exp(-2j * np.pi * (np.outer(idx, idx) % n) / n)
+    return dft @ a.take(idx[:, None] * n + (idx[:, None] + idx) % n) / n
 
 
 def _per_dimension(build):
@@ -79,8 +97,10 @@ def phase_exponent(eta: int, xi: int, n: int) -> int:
 
     Uses floor division toward minus infinity for the integer parts; the
     value vanishes whenever both indices lie in the fundamental window
-    [0, n).
+    [0, n).  A bool or non-integer index or dimension raises ``ValueError``,
+    as does n < 2.
     """
+    _checked_indices(eta, xi, n)
     i_eta = eta // n
     i_xi = xi // n
     return n * i_eta * i_xi - eta * i_xi - xi * i_eta
@@ -91,9 +111,10 @@ def symmetrized_basis(eta: int, xi: int, n: int) -> np.ndarray:
 
     The monomial is built by index arithmetic, not by matrix powers:
     (u^eta v^xi)[j, k] = w^(eta j) when k = j + xi (mod n), and 0 otherwise.
+    A bool or non-integer index or dimension raises ``ValueError``, as does n < 2.
     """
-    phase = np.exp(1j * np.pi * eta * xi / n)
-    return phase / np.sqrt(n) * _clock_shift(eta, xi, n)
+    monomial = _clock_shift(eta, xi, n)  # first: its check refuses n < 2 before the phase divides by n
+    return np.exp(1j * np.pi * eta * xi / n) / np.sqrt(n) * monomial
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

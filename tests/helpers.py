@@ -28,6 +28,69 @@ def hermitizing_phase(eta, xi, n):
     return 1.0
 
 
+# The paper's fifteen dimension-4 generators as polynomials in the clock/shift pair, as printed;
+# terms are (coefficient, clock power, shift power).
+_R3 = np.sqrt(3)
+_R6 = np.sqrt(6)
+SU4_CLOCK_SHIFT_TERMS = (
+    # 0: coupling of levels 0 and 1, real part
+    ((0.25, 0, 1), (0.25, 0, 3), (0.25, 1, 1), (0.25, 2, 1), (0.25, 3, 1),
+     (-0.25j, 1, 3), (-0.25, 2, 3), (0.25j, 3, 3)),
+    # 1: coupling of levels 0 and 1, imaginary part
+    ((-0.25j, 0, 1), (0.25j, 0, 3), (-0.25j, 1, 1), (-0.25j, 2, 1), (-0.25j, 3, 1),
+     (0.25, 1, 3), (-0.25j, 2, 3), (-0.25, 3, 3)),
+    # 2: population difference of levels 0 and 1
+    (((1 + 1j) / 4, 1, 0), (0.5, 2, 0), ((1 - 1j) / 4, 3, 0)),
+    # 3: coupling of levels 0 and 2, real part
+    ((0.5, 0, 2), (0.5, 2, 2)),
+    # 4: coupling of levels 0 and 2, imaginary part
+    ((-0.5j, 1, 2), (-0.5j, 3, 2)),
+    # 5: coupling of levels 1 and 2, real part
+    ((0.25, 0, 1), (0.25, 0, 3), (-0.25j, 1, 1), (-0.25, 2, 1), (0.25j, 3, 1),
+     (-0.25, 1, 3), (0.25, 2, 3), (-0.25, 3, 3)),
+    # 6: coupling of levels 1 and 2, imaginary part
+    ((-0.25j, 0, 1), (0.25j, 0, 3), (-0.25, 1, 1), (0.25j, 2, 1), (0.25, 3, 1),
+     (-0.25j, 1, 3), (0.25j, 2, 3), (-0.25j, 3, 3)),
+    # 7: diagonal on levels 0, 1 against 2
+    (((3 - 1j) / (4 * _R3), 1, 0), (-1 / (2 * _R3), 2, 0), ((3 + 1j) / (4 * _R3), 3, 0)),
+    # 8: coupling of levels 0 and 3, real part
+    ((0.25, 0, 1), (0.25, 0, 3), (0.25j, 1, 1), (-0.25, 2, 1), (-0.25j, 3, 1),
+     (0.25, 1, 3), (0.25, 2, 3), (0.25, 3, 3)),
+    # 9: coupling of levels 0 and 3, imaginary part
+    ((0.25j, 0, 1), (-0.25j, 0, 3), (-0.25, 1, 1), (-0.25j, 2, 1), (0.25, 3, 1),
+     (-0.25j, 1, 3), (-0.25j, 2, 3), (-0.25j, 3, 3)),
+    # 10: coupling of levels 1 and 3, real part
+    ((0.5, 0, 2), (-0.5, 2, 2)),
+    # 11: coupling of levels 1 and 3, imaginary part
+    ((-0.5, 1, 2), (0.5, 3, 2)),
+    # 12: coupling of levels 2 and 3, real part
+    ((0.25, 0, 1), (0.25, 0, 3), (-0.25, 1, 1), (0.25, 2, 1), (-0.25, 3, 1),
+     (0.25j, 1, 3), (-0.25, 2, 3), (-0.25j, 3, 3)),
+    # 13: coupling of levels 2 and 3, imaginary part
+    ((-0.25j, 0, 1), (0.25j, 0, 3), (0.25j, 1, 1), (-0.25j, 2, 1), (0.25j, 3, 1),
+     (-0.25, 1, 3), (-0.25j, 2, 3), (0.25, 3, 3)),
+    # 14: diagonal on levels 0, 1, 2 against 3
+    ((-1j / _R6, 1, 0), (1 / _R6, 2, 0), (1j / _R6, 3, 0)),
+)
+
+
+def printed_clock_shift_coefficients(i):
+    """Generator i's printed terms as the 4 x 4 coefficient array chi[clock power, shift power]."""
+    chi = np.zeros((4, 4), dtype=complex)
+    for coeff, eta, xi in SU4_CLOCK_SHIFT_TERMS[i]:
+        chi[eta, xi] += coeff
+    return chi
+
+
+def clock_shift_sum(chi):
+    """sum chi[eta, xi] u^eta v^xi, the monomials as matrix powers of u = diag(w^k) and v|k> = |k-1>."""
+    n = chi.shape[0]
+    u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    v = np.roll(np.eye(n), 1, axis=1)
+    power = np.linalg.matrix_power
+    return sum(c * power(u, eta) @ power(v, xi) for (eta, xi), c in np.ndenumerate(chi))
+
+
 def random_density(rng, n, rank=None):
     """Random full-rank (or fixed-rank) density matrix of dimension n."""
     rank = n if rank is None else rank

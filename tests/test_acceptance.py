@@ -57,7 +57,14 @@ from dwigner import (
     xstate_wigner,
 )
 from dwigner.cli import main
-from helpers import hermitizing_phase, random_density, random_xstate
+from dwigner.kernel import _clock_shift_coefficients
+from helpers import (
+    clock_shift_sum,
+    hermitizing_phase,
+    printed_clock_shift_coefficients,
+    random_density,
+    random_xstate,
+)
 
 CP = np.sqrt((2 + np.sqrt(2)) / 2)
 CM = np.sqrt((2 - np.sqrt(2)) / 2)
@@ -381,9 +388,17 @@ def test_criterion_05_generator_algebra():
             direct = np.trace(stack[i] @ stack[j] @ stack[kk] @ stack[l])
             expected = (4.0 / n) * (i == j) * (kk == l) + 2 * np.sum(jt[i, j, :] * jt[:, kk, l])
             law_dev = max(law_dev, abs(direct - expected))
-    schwinger_dev = max(
-        float(np.max(np.abs(generator_from_schwinger(i) - generators(4)[i]))) for i in range(15)
-    )
+    # the computed polynomials against the matrices, and the paper's printed terms (the oracle)
+    # against both the matrices and the computed coefficients
+    schwinger_dev = 0.0
+    for i, g in enumerate(generators(4)):
+        printed = printed_clock_shift_coefficients(i)
+        defects = (
+            generator_from_schwinger(i) - g,
+            clock_shift_sum(printed) - g,
+            _clock_shift_coefficients(g) - printed,
+        )
+        schwinger_dev = max(schwinger_dev, *(float(np.max(np.abs(d))) for d in defects))
     ok = exact_dev < 1e-12 and law_dev < 1e-10 and schwinger_dev < 1e-12
     _report(
         5,

@@ -19,7 +19,8 @@ from dwigner import (
     wigner_su2,
     wigner_su4,
 )
-from helpers import random_density
+from dwigner.kernel import _clock_shift_coefficients
+from helpers import clock_shift_sum, printed_clock_shift_coefficients, random_density
 
 CP = np.sqrt((2 + np.sqrt(2)) / 2)
 CM = np.sqrt((2 - np.sqrt(2)) / 2)
@@ -83,6 +84,17 @@ def test_all_schwinger_expressions_match_matrices():
     gs = generators(4)
     for i in range(15):
         np.testing.assert_allclose(generator_from_schwinger(i), gs[i], atol=1e-12)
+
+
+@pytest.mark.parametrize("i", range(15))
+def test_printed_clock_shift_polynomials_are_the_gather_dft_coefficients(i):
+    # the paper's printed terms are the oracle: the same support and values as the coefficients
+    # the gather and DFT compute from generators(4)[i], and their sum is that generator
+    printed = printed_clock_shift_coefficients(i)
+    chi = _clock_shift_coefficients(generators(4)[i])
+    assert np.array_equal(np.abs(chi) > 1e-12, printed != 0)
+    assert np.max(np.abs(chi - printed)) <= 1e-15
+    np.testing.assert_allclose(clock_shift_sum(printed), generators(4)[i], rtol=0, atol=1e-12)
 
 
 def test_schwinger_expression_index_range():

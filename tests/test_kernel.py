@@ -20,11 +20,12 @@ from dwigner import (
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 from dwigner.generators import su4_kernel
-from dwigner.kernel import _TABLE_MAX, MappingKernel, _hermitizing_phases
+from dwigner.kernel import _TABLE_MAX, MappingKernel, _clock_shift_coefficients, _hermitizing_phases
 from dwigner.linalg import validate_density
 from dwigner.twoqubit import pair_kernel
 from helpers import (
     STATE_GUARD_MESSAGE,
+    clock_shift_sum,
     hermitizing_phase,
     random_density,
     reference_reconstruct,
@@ -149,6 +150,45 @@ def test_phase_exponent_shift_rules():
         for xi in range(n):
             assert phase_exponent(eta + n, xi, n) == -xi
     assert phase_exponent(n, n, n) == -n
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (symmetrized_basis, (0.5, 0, 4), "eta must be an integer, got 0.5"),
+        (symmetrized_basis, (True, 1, 4), "eta must be an integer, got True"),
+        (symmetrized_basis, (1, 1, 4.0), "dimension must be an integer, got 4.0"),
+        (phase_exponent, (1, 1, 1), "dimension must be at least 2, got 1"),
+        (phase_exponent, (0.5, 0, 4), "eta must be an integer, got 0.5"),
+    ],
+    ids=["basis-half-eta", "basis-bool-eta", "basis-float-dimension", "exponent-dimension-1", "exponent-half-eta"],
+)
+def test_basis_and_exponent_refuse_non_integers_and_dimensions_below_two(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
+def test_basis_and_exponent_take_numpy_integers():
+    eta, xi, n = np.int64(3), np.int32(2), np.int64(4)
+    assert np.array_equal(symmetrized_basis(eta, xi, n), symmetrized_basis(3, 2, 4))
+    assert phase_exponent(eta + n, xi, n) == phase_exponent(7, 2, 4) == -2
+
+
+def test_clock_shift_coefficients_of_the_paulis_are_single_monomials():
+    # sigma_z = u, sigma_x = v and sigma_y = -i u v at n = 2
+    for pauli, (eta, xi), coeff in ((PAULI_Z, (1, 0), 1), (PAULI_X, (0, 1), 1), (PAULI_Y, (1, 1), -1j)):
+        expected = np.zeros((2, 2), dtype=complex)
+        expected[eta, xi] = coeff
+        chi = _clock_shift_coefficients(pauli)
+        np.testing.assert_allclose(chi, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(clock_shift_sum(chi), pauli, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_clock_shift_coefficients_resum_any_matrix(n):
+    re, im = np.random.default_rng(n).normal(size=(2, n, n))
+    m = re + 1j * im
+    np.testing.assert_allclose(clock_shift_sum(_clock_shift_coefficients(m)), m, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", DIMS)

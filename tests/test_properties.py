@@ -41,8 +41,10 @@ from dwigner import (
     xstate_wigner,
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
+from dwigner.kernel import _clock_shift_coefficients
 from dwigner.states import _xstate_map
 from dwigner.twoqubit import _fano_grid, _fano_map, _rep_kernel
+from helpers import hermitizing_phase
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -77,6 +79,22 @@ def test_shift_conjugation_shifts_the_mu_axis(rho):
     v = schwinger_pair(rho.shape[0]).v
     shifted = wigner_grid(v @ rho @ v.conj().T)
     np.testing.assert_allclose(shifted, np.roll(wigner_grid(rho), -1, axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_is_a_two_dimensional_dft_of_the_clock_shift_coefficients(n, data):
+    # W = Re[F̄ (h * w^(eta xi / 2) * conj(chi)) F̄] for the clock/shift coefficients chi of rho and
+    # the hermitizing phase h: an oracle that reads neither kernel(n)'s table nor its factors, on
+    # both sides of the table's crossover
+    rho = data.draw(densities(n))
+    idx = np.arange(n)
+    dft = np.exp(-2j * np.pi * (np.outer(idx, idx) % n) / n)
+    phases = np.array([[hermitizing_phase(eta, xi, n) for xi in idx] for eta in idx])
+    weights = phases * np.exp(1j * np.pi * np.outer(idx, idx) / n)
+    expected = (dft @ (weights * _clock_shift_coefficients(rho).conj()) @ dft).real
+    np.testing.assert_allclose(wigner_grid(rho), expected, rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -454,6 +454,13 @@ def test_gisin_quoted_maximum():
     assert abs(np.max(np.abs(xstate_delta(state))) - 0.60) < 5e-3
 
 
+def test_gisin_quoted_point_is_not_a_state():
+    # the README's sentence: the quoted point has the eigenvalue -0.112, so it is no state
+    state = gisin_from_combinations(np.sqrt(2) / 4, 0.5, 1.0)
+    assert not state.is_physical()
+    assert abs(np.linalg.eigvalsh(state.matrix())[0] + 0.1124) <= 1e-4
+
+
 def test_delta_hierarchy():
     ph = np.max(np.abs(xstate_delta(peres_horodecki(1.0))))
     gs = np.max(np.abs(xstate_delta(gisin_from_combinations(np.sqrt(2) / 4, 0.5, 1.0))))
