@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .generators import wigner_su4
-from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_tolerance
+from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance
 
 _FOURIER = 0.5 * np.array(
     [
@@ -46,7 +46,8 @@ def fourier4() -> np.ndarray:
 
 
 def permutation_pulse(k: int) -> np.ndarray:
-    """Oracle pulse k; only the two pulses used by the protocol exist (2 and 6)."""
+    """Oracle pulse k, an integer; only the two pulses used by the protocol exist (2 and 6)."""
+    _checked_integer("pulse", k)  # first: 2.0 equals 2, and the lookup would raise TypeError on [2]
     if k not in _PULSES:
         raise ValueError(f"unsupported pulse {k}; available pulses are 2 and 6")
     return _PULSES[k].copy()

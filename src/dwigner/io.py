@@ -18,6 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from .kernel import _check_grid
+from .linalg import _square_matrix
 
 GRID_FORMATS = ("csv", "json", "gnuplot")
 
@@ -27,10 +28,8 @@ _SLOT_CONTEXT = {"csv": (",", "\n"), "json": (", ", "]"), "gnuplot": (" ", "\n")
 
 
 def serialize_matrix(m) -> str:
-    """Render a square complex matrix as a JSON object with keys dim/re/im; NaN or inf raises."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    """Render a non-empty square complex matrix as a JSON object with keys dim/re/im; NaN or inf raises."""
+    a = _square_matrix(m)
     doc = {"dim": int(a.shape[0]), "re": a.real.tolist(), "im": a.imag.tolist()}
     return json.dumps(doc, sort_keys=True, allow_nan=False)
 

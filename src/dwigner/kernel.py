@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import DensityMatrix, _bounded, _checked_integer, _hermitian_entries, as_matrix
+from .linalg import _bounded, _checked_integer, hermitian_matrix
 
 
 # Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
@@ -119,31 +119,30 @@ def symmetrized_basis(eta: int, xi: int, n: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PhasePointFactors:
-    """The tables from which ``kernel(n)`` is evaluated, above ``_TABLE_MAX``, without its n^4 table.
+    """The six O(n^2) tables from which ``kernel(n)`` is evaluated above ``_TABLE_MAX``.
 
-    They take O(n^2) memory and cover the half spectrum xi = 0 .. h - 1, h = n // 2 + 1, as
-    every cell operator is Hermitian (see ``kernel``), with each column c[m, xi] =
-    p[(m + s) mod n] read through its shift s.  The gathered block's columns are the half
-    spectrum, its dense-profile columns first (the odd xi at even n, none at odd n), and at even
-    n the e = n // 4 two-point columns once more.  ``gather[j, col]`` is the flat index of
-    rho[j - s, j - s + xi] (mod n), n / 2 rows further on in the two-point columns' second
-    block: a gathered delta column is already correlated, and a two-point column reads its row
-    and the row n / 2 below.  ``mirror`` indexes rho[j - s + xi, j - s]; both are n x (h + e).
-    ``scatter``, n x n, inverts their first h columns: the flat index into (conj(R) over R),
-    2 n h entries, of the value ``reconstruct`` writes to each rho[j, k], R's own where the
-    gather and the mirror meet.  ``circulant[mu, j] = conj(p[(j - mu) mod n])`` for the dense
-    profile p, n x n at even n and empty at odd n, correlates the dense columns.  The two real
-    ends: ``fold``, real (2 (h + e), n), holds weight(xi) times the profile's value (1, or
-    (1 + i)/2 and (1 - i)/2 on the two-point blocks) times F̄ for each column as (Re over Im)
-    rows, weight 1 at xi = 0 and at xi = n / 2 for even n and 2 between, so Re[Y F] is one real
-    product with the gathered block; ``unfold``, real (b n, 2 h), is the same columns conjugated
-    and over n, its second block of rows (at even n, b = 2) nonzero on the two-point columns
-    only, and ``spread``, n x b n, the flat index of the grid's rows and at even n its rows
-    n / 2 down, so conj(R) before the dense columns' correlation is one real product.
+    They cover the half spectrum xi = 0 .. h - 1, h = n // 2 + 1, as every cell operator is
+    Hermitian (see ``kernel``), with each column c[m, xi] = p[(m + s) mod n] read through its
+    shift s.  The gathered block's columns are the half spectrum, its dense-profile columns
+    first (the odd xi at even n, none at odd n), and at even n the e = n // 4 two-point columns
+    once more.  ``gather``, n x (h + e), holds the flat index of rho[j - s, j - s + xi] (mod n),
+    n / 2 rows further on in the two-point columns' second block: a gathered delta column is
+    already correlated, and a two-point column reads its row and the row n / 2 below.
+    ``scatter``, n x n, inverts the gather's first h columns and their mirror rho[j - s + xi,
+    j - s]: the flat index into (conj(R) over R), 2 n h entries, of the value ``reconstruct``
+    writes to each rho[j, k], R's own where the two meet.  ``circulant[mu, j] =
+    conj(p[(j - mu) mod n])`` for the dense profile p, n x n at even n and empty at odd n,
+    correlates the dense columns.  The two real ends: ``fold``, real (2 (h + e), n), holds
+    weight(xi) times the profile's value (1, or (1 + i)/2 and (1 - i)/2 on the two-point blocks)
+    times F̄ for each column as (Re over Im) rows, weight 1 at xi = 0 and at xi = n / 2 for even
+    n and 2 between, so Re[Y F] is one real product with the gathered block; ``unfold``, real
+    (b n, 2 h), is the same columns conjugated and over n, its second block of rows (at even n,
+    b = 2) nonzero on the two-point columns only, and ``spread``, n x b n, the flat index of the
+    grid's rows and at even n its rows n / 2 down, so conj(R) before the dense columns'
+    correlation is one real product.
     """
 
     gather: np.ndarray
-    mirror: np.ndarray
     scatter: np.ndarray
     circulant: np.ndarray
     fold: np.ndarray
@@ -278,13 +277,11 @@ def kernel(n: int) -> MappingKernel:
     67, 267 (2004)).  Every G is Hermitian, so c[(m + xi) mod n, -xi] = conj(c[m, xi]): for a
     Hermitian rho the correlated column n - xi is the conjugate of column xi, and the steps need
     only the half spectrum xi <= n / 2.  The kernel carries only the O(n^2)
-    ``PhasePointFactors`` of these steps, built in O(n^2) time; its ``ops`` table is built in
-    O(n^4) time and 16 n^4 bytes only on first access.  Above ``_TABLE_MAX`` (11)
-    ``wigner_grid`` and ``reconstruct`` take the steps, in O(n^3) time and O(n^2) memory, and
-    the table is never built.  Up to 11 one real product with the table's rows is faster than
-    the steps, so there the first ``wigner_grid`` or ``reconstruct`` builds it.  A bool or
-    non-integer n raises ``ValueError``, as does n < 2; the cache is keyed on int(n), so
-    ``kernel(np.int64(4)) is kernel(4)``.
+    ``PhasePointFactors`` of these steps, built in O(n^2) time; its ``ops`` table (O(n^4) time,
+    16 n^4 bytes) is built on first access, which ``wigner_grid`` and ``reconstruct`` make only
+    up to ``_TABLE_MAX`` (see ``MappingKernel``).  A bool or non-integer n raises
+    ``ValueError``, as does n < 2; the cache is keyed on int(n), so ``kernel(np.int64(4)) is
+    kernel(4)``.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
@@ -320,7 +317,7 @@ def kernel(n: int) -> MappingKernel:
         phases = _hermitizing_phases(n)[:, 1] * np.exp(1j * np.pi * idx / n)
         profile = roots[np.outer(idx, idx) % n] @ phases / n
         circulant = profile.conj()[(idx[None, :] - idx[:, None]) % n]  # conj(p[(j - mu) mod n])
-    tables = (gather, mirror, scatter, circulant, fold, spread.reshape(n, -1), unfold.view(float))
+    tables = (gather, scatter, circulant, fold, spread.reshape(n, -1), unfold.view(float))
     for table in tables:
         table.flags.writeable = False
     return MappingKernel(dim=n, factors=PhasePointFactors(*tables))
@@ -330,53 +327,39 @@ def wigner_grid(rho, kern: MappingKernel | None = None) -> np.ndarray:
     """Phase-space values W(p) = Tr[G†(p) rho] on the kernel's grid, as a real array.
 
     ``kern`` defaults to ``kernel(n)``, for which (1/n) sum W = 1 on a
-    density matrix.  Over ``kernel(n)`` with n above ``_TABLE_MAX`` (11)
-    the values take O(n^3) time and O(n^2) memory, on the half spectrum
-    xi < h = n // 2 + 1 of the Hermitian rho, with each column of c a
-    profile p shifted by s (see ``kernel``): one ``take`` gathers
-    rho[j - s, j - s + xi], which is the correlation in j for a delta
-    column, and for a two-point column adds its rows n / 2 down as a second
-    block; the q = ceil(n / 4) dense columns (odd xi at even n) take one
-    n x n by n x q complex product with the cached ``circulant``; and the
-    real part of the DFT along xi, folded over the half spectrum and over
-    the two-point constants, is one real product with the cached ``fold``
-    table, so no complex grid is formed.  At odd n every column is a delta
-    and there is no complex product.  Over any other stack, and over
-    ``kernel(n)`` up to 11, they are one real matrix-vector product,
-    Re Tr[G† rho] as the dot product of the stack's real (cells, 2 n^2)
-    rows, a view of it, with rho's.  A DensityMatrix is exactly Hermitian;
-    a raw array must be Hermitian within 1e-10, and its values are those
-    of its Hermitian part.  On the half spectrum the guard reads only the
-    gathered R and, through the mirror index, the conjugates R' of the
-    entries across the diagonal; every pair (j, k) is one of the two, so
-    max|R - R'| is the whole max|a - a†|.  One exact comparison settles an
-    exactly Hermitian array, whose R is read as it is; on a mismatch the
-    defect is computed and (R + R')/2, the gather of (a + a†)/2, is read.
-    Elsewhere ``hermitian_matrix``'s guard reads the whole matrix.  A
-    non-Hermitian array is refused before a dimension mismatch.
+    density matrix.  rho is read through ``hermitian_matrix``, so a raw
+    array is refused unless Hermitian within 1e-10, before a dimension
+    mismatch, and its values are those of its Hermitian part.  Over
+    ``kernel(n)`` with n above ``_TABLE_MAX`` (11) the values take O(n^3)
+    time and O(n^2) memory, on the half spectrum xi < h = n // 2 + 1 of the
+    Hermitian rho, with each column of c a profile p shifted by s (see
+    ``kernel``): one ``take`` gathers rho[j - s, j - s + xi], which is the
+    correlation in j for a delta column, and for a two-point column adds
+    its rows n / 2 down as a second block; the q = ceil(n / 4) dense
+    columns (odd xi at even n) take one n x n by n x q complex product with
+    the cached ``circulant``; and the real part of the DFT along xi, folded
+    over the half spectrum and over the two-point constants, is one real
+    product with the cached ``fold`` table, so no complex grid is formed.
+    At odd n every column is a delta and there is no complex product.  Over
+    any other stack, and over ``kernel(n)`` up to 11, they are one real
+    matrix-vector product, Re Tr[G† rho] as the dot product of the stack's
+    real (cells, 2 n^2) rows, a view of it, with rho's.
     """
-    raw = not isinstance(rho, DensityMatrix)
-    a = as_matrix(rho) if raw else rho.matrix
+    a = hermitian_matrix(rho)
     if kern is None:
         kern = kernel(a.shape[0])
-    if kern._factored and kern.dim == a.shape[0]:
+    if kern.dim != a.shape[0]:
+        raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
+    if kern._factored:
         # W(mu, nu) = Re sum_xi w^(nu xi) Y[mu, xi], Y[mu, xi] = sum_j conj(p[(j - mu) mod n]) r[j, xi]
         # for r gathered through the shift; as Y[mu, n - xi] = conj(Y[mu, xi]), the sum folds onto
         # xi < h, and with the two-point constants in ``fold`` it is one real product
         f = kern.factors
         r = a.take(f.gather)
-        if raw:
-            # every pair (j, k) is read once, through the gather or the mirror, so this is the
-            # whole guard, and (r + r')/2 is the gather of (a + a†)/2
-            r = _hermitian_entries(r, a.take(f.mirror).conj())
         q = _dense_columns(kern.dim)
         if q:
             r[:, :q] = f.circulant @ r[:, :q]
         return r.view(float) @ f.fold
-    if raw:
-        a = _hermitian_entries(a, a.conj().T)
-    if kern.dim != a.shape[0]:
-        raise ValueError(f"dimension mismatch: kernel {kern.dim} vs matrix {a.shape[0]}")
     return (kern._rows @ _real_rows(a)[0]).reshape(kern.ops.shape[:-2])
 
 
@@ -435,7 +418,7 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
 
 def _check_grid(values) -> np.ndarray:
     w = np.asarray(values, dtype=float)
-    if w.ndim == 2 and w.shape[0] == w.shape[1]:
+    if w.ndim == 2 and w.shape[0] == w.shape[1] and w.size:
         return w
     if w.shape == (2, 2, 2, 2):
         return w

@@ -31,9 +31,12 @@ def _checked_integer(name: str, value) -> None:
 
 
 def _square_matrix(m) -> np.ndarray:
+    # the one square check of every matrix input; a 0 x 0 matrix is no state
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"expected a square matrix of dimension at least 1, got shape {a.shape}")
     return a
 
 
@@ -57,26 +60,12 @@ def as_matrix(m) -> np.ndarray:
     return _bounded(_square_matrix(m), "matrix entries")
 
 
-def _asymmetry(r, m, limit: float = math.inf) -> float:
-    # max|r - m| for entries r of a matrix a and m, the entries of a† at the same places; over
-    # the whole of a it is max|a - a†|.  One exact comparison settles r == m (count_nonzero is
-    # the cheapest reduction of it); the arithmetic is done only on a mismatch, and a defect
-    # above ``limit`` raises the state readers' ValueError
-    if not np.count_nonzero(r != m):
+def _asymmetry(a, adjoint) -> float:
+    # max|a - a†|.  One exact comparison settles a == a† (count_nonzero is the cheapest
+    # reduction of it); the arithmetic is done only on a mismatch
+    if not np.count_nonzero(a != adjoint):
         return 0.0
-    defect = float(np.abs(r - m).max())
-    if defect > limit:
-        raise ValueError(
-            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
-            f"{limit:.1e}, so its phase-space values would have an imaginary part"
-        )
-    return defect
-
-
-def _hermitian_entries(r, m) -> np.ndarray:
-    # the Hermitian part (a + a†)/2 read at the places of r and m (see _asymmetry): r itself
-    # when the two are exactly equal; a defect above DEFAULT_TOLERANCE raises ValueError
-    return r if _asymmetry(r, m, DEFAULT_TOLERANCE) == 0 else (r + m) / 2.0
+    return float(np.abs(a - adjoint).max())
 
 
 def _guarded(m) -> tuple[np.ndarray, np.ndarray, float]:
@@ -154,16 +143,16 @@ class DensityMatrix:
     """A validated density matrix: exactly Hermitian, unit trace, positive semidefinite.
 
     Made by ``validate_density``, which stores the read-only Hermitian part.  Construction
-    refuses a matrix that is not square, fails ``as_matrix``'s rule or is not exactly equal to
-    its conjugate transpose, so ``hermitian_matrix`` can trust every instance.
+    refuses a matrix that is not square or is empty, fails ``as_matrix``'s rule or is not
+    exactly equal to its conjugate transpose, so ``hermitian_matrix`` can trust every instance.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
-        if not isinstance(m, np.ndarray) or m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"a DensityMatrix holds a square matrix, got shape {np.shape(m)}")
+        if not isinstance(m, np.ndarray) or m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError(f"a DensityMatrix holds a non-empty square matrix, got shape {np.shape(m)}")
         _bounded(m, "matrix entries")
         if _asymmetry(m, m.conj().T):
             raise ValueError("a DensityMatrix holds an exactly Hermitian matrix; build one with validate_density")
@@ -187,18 +176,20 @@ class DensityMatrix:
 def hermitian_matrix(rho) -> np.ndarray:
     """A state's matrix, exactly Hermitian: a DensityMatrix's own, unchecked and uncopied.
 
-    A raw array must pass ``as_matrix`` (a square matrix whose sum of |a_ij|^2 is finite) and
-    be Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``.  One exact comparison
-    with a† settles an exactly Hermitian array, which is returned itself; only on a mismatch is
-    max|a - a†| computed, and the array returned as its Hermitian part (a + a†)/2.  So every
-    value read from a raw array is that of its Hermitian part, also where a transform reads only
-    half of the matrix.  The guard's bound keeps every grid and coordinate vector read from the
-    matrix finite.
+    The one Hermiticity guard of every reader.  A raw array must pass ``as_matrix`` and be
+    Hermitian within DEFAULT_TOLERANCE, or it raises ``ValueError``; it is returned itself when
+    exactly Hermitian, else as its Hermitian part (a + a†)/2, so every value read from it is
+    that of the Hermitian part.
     """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    a = as_matrix(rho)
-    return _hermitian_entries(a, a.conj().T)
+    a, adjoint, defect = _guarded(rho)
+    if defect > DEFAULT_TOLERANCE:
+        raise ValueError(
+            f"input matrix is not Hermitian: max asymmetry {defect:.3e} exceeds "
+            f"{DEFAULT_TOLERANCE:.1e}, so its phase-space values would have an imaginary part"
+        )
+    return a if defect == 0 else (a + adjoint) / 2.0
 
 
 def validate_density(m, tol: float | None = None) -> DensityMatrix:

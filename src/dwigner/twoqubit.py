@@ -25,7 +25,7 @@ import numpy as np
 
 from .generators import _bloch_density, _generators_for, generators, su4_kernel
 from .kernel import MappingKernel, _compose, _real_rows, kernel, wigner_grid
-from .linalg import DensityMatrix, _bounded, hermitian_matrix, validate_density
+from .linalg import DensityMatrix, _bounded, _checked_integer, hermitian_matrix, validate_density
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -86,9 +86,11 @@ class FanoCoefficients:
 
 
 def pair_index(i: int, j: int) -> int:
-    """Level of the four-level system matching basis state |i j> of the pair."""
+    """Level of the four-level system matching basis state |i j> of the pair; bits are integers."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError(f"bits must be 0 or 1, got ({i}, {j})")
+    _checked_integer("bit", i)  # 1.0 and True equal 1, so only this refuses them
+    _checked_integer("bit", j)
     return 2 * i + j
 
 
@@ -157,11 +159,10 @@ def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
 
 def _qubit(which: int) -> int:
     # the qubit selector 1 or 2 as the index 0 or 1 of its polarization and of its half-sum rows
-    if which == 1:
-        return 0
-    if which == 2:
-        return 1
-    raise ValueError(f"qubit selector must be 1 or 2, got {which}")
+    if which not in (1, 2):
+        raise ValueError(f"qubit selector must be 1 or 2, got {which}")
+    _checked_integer("qubit selector", which)  # 1.0 and True equal 1, so only this refuses them
+    return which - 1
 
 
 @lru_cache(maxsize=None)

@@ -176,8 +176,9 @@ def reference_reconstruct(values):
     if q:
         r_conj[:, :q] = f.circulant.T @ r_conj[:, :q]
     h = r_conj.shape[1]
+    mirror = f.gather % n * n + f.gather // n
     rho = np.empty((n, n), dtype=complex)
-    rho.put(f.mirror[:, :h], r_conj)
+    rho.put(mirror[:, :h], r_conj)
     rho.put(f.gather[:, :h], r_conj.conj())
     return rho
 

@@ -150,3 +150,17 @@ def test_measure_probabilities_refuses_finite_amplitudes_whose_squares_overflow(
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="amplitudes are too large: the sum of their squared magnitudes overflows"):
             measure_probabilities([amplitude, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "pulse", [2.0, 6.0, np.float64(2.0), [2], None], ids=["float-2", "float-6", "numpy-float-2", "list", "none"]
+)
+def test_a_pulse_that_is_not_an_integer_is_refused(pulse):
+    for call in (lambda: permutation_pulse(pulse), lambda: run_parity_algorithm(pulse=pulse)):
+        with pytest.raises(ValueError, match=r"^pulse must be an integer, got "):
+            call()
+
+
+def test_a_numpy_integer_pulse_is_read_as_its_int():
+    assert np.array_equal(permutation_pulse(np.int64(6)), permutation_pulse(6))
+    assert run_parity_algorithm(pulse=np.int8(6)).outcome_level == run_parity_algorithm(pulse=6).outcome_level == 3

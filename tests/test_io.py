@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -618,3 +619,19 @@ def test_parse_grid_reads_a_csv_header_with_padded_fields():
     w = np.full((2, 2, 2, 2), 1 / 16)
     text = emit_grid(w, "csv").replace("mu1,nu1,mu2,nu2,w", " mu1 , nu1,mu2, nu2 ,w ", 1)
     assert parse_grid(text).tobytes() == w.tobytes()
+
+
+def test_serialize_matrix_refuses_an_empty_matrix():
+    # a dim of 0 would be written that parse_matrix refuses
+    with pytest.raises(ValueError, match=r"^expected a square matrix of dimension at least 1, got shape \(0, 0\)$"):
+        serialize_matrix(np.zeros((0, 0)))
+
+
+def test_emit_grid_refuses_an_empty_grid():
+    # the header alone would be written, which parse_grid refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ("csv", "json", "gnuplot"):
+            with pytest.raises(ValueError) as info:
+                emit_grid(np.zeros((0, 0)), fmt)
+            assert str(info.value) == "expected an N x N grid or a 2x2x2x2 pair grid, got shape (0, 0)"

@@ -740,3 +740,11 @@ def test_factored_grid_refuses_non_hermitian_input_before_a_dimension_mismatch(n
     m[0, 1] = 1e-7j
     for other in (n - 1, n + 1, 32 if n != 32 else 16):
         assert _refusal(lambda: wigner_grid(m, kernel(other))) == STATE_GUARD_MESSAGE.format(1e-7)
+
+
+def test_grid_overlap_refuses_an_empty_grid():
+    # no NaN from 0 / 0 on the way: the shape check refuses the grid first
+    message = "expected an N x N grid or a 2x2x2x2 pair grid, got shape (0, 0)"
+    empty = np.zeros((0, 0))
+    assert _refusal(lambda: grid_overlap(empty, empty)) == message
+    assert _refusal(lambda: grid_overlap(empty, np.eye(2))) == message

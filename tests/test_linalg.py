@@ -457,3 +457,38 @@ def test_a_finite_hermitian_part_that_lapack_fails_on_raises(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         validate_density(np.eye(4) / 4)
+
+
+EMPTY = np.zeros((0, 0))
+EMPTY_MATRIX = r"^expected a square matrix of dimension at least 1, got shape \(0, 0\)$"
+
+
+def _refuses_empty(call, message=EMPTY_MATRIX):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+    assert type(info.value) is ValueError
+
+
+def test_validate_density_refuses_an_empty_matrix():
+    _refuses_empty(lambda: validate_density(EMPTY))
+
+
+def test_hermitian_eigenvalues_refuses_an_empty_matrix():
+    _refuses_empty(lambda: hermitian_eigenvalues(EMPTY))
+
+
+def test_purity_refuses_an_empty_matrix():
+    _refuses_empty(lambda: purity(EMPTY))
+
+
+def test_super_fidelity_refuses_an_empty_matrix():
+    _refuses_empty(lambda: super_fidelity(EMPTY, EMPTY))
+
+
+def test_density_matrix_constructor_refuses_an_empty_matrix():
+    _refuses_empty(
+        lambda: DensityMatrix(matrix=EMPTY),
+        r"^a DensityMatrix holds a non-empty square matrix, got shape \(0, 0\)$",
+    )

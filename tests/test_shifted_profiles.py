@@ -88,5 +88,5 @@ def test_even_xi_columns_have_at_most_two_nonzero_entries(n):
 @pytest.mark.parametrize("n", (2, 3, 12, 13, 64, 65))
 def test_factors_are_quadratic_tables_with_no_dft_matrix(n):
     f = kernel(n).factors
-    assert set(vars(f)) == {"gather", "mirror", "scatter", "circulant", "fold", "spread", "unfold"}
+    assert set(vars(f)) == {"gather", "scatter", "circulant", "fold", "spread", "unfold"}
     assert all(table.size <= 2 * n * (n + 2) for table in vars(f).values())

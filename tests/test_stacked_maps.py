@@ -269,6 +269,31 @@ def test_a_qubit_selector_other_than_1_or_2_is_refused(select, state, which):
         select(state(), which)
 
 
+SELECTORS = pytest.mark.parametrize(
+    "select, state",
+    [
+        (reduced_density, lambda: fano_extract(np.diag([0.4, 0.3, 0.2, 0.1]))),
+        (reduced_wigner, lambda: fano_extract(np.diag([0.4, 0.3, 0.2, 0.1]))),
+        (xstate_reduced_wigner, lambda: munro(0.8)),
+    ],
+)
+
+
+@SELECTORS
+@pytest.mark.parametrize("which", [1.0, 2.0, True, np.float64(2.0)], ids=["float-1", "float-2", "bool", "numpy-float-2"])
+def test_a_qubit_selector_that_is_not_an_integer_is_refused(select, state, which):
+    # 1.0 and True equal 1, so only the integer check tells them from the selector 1
+    with pytest.raises(ValueError, match=r"^qubit selector must be an integer, got "):
+        select(state(), which)
+
+
+@SELECTORS
+def test_a_numpy_integer_qubit_selector_reads_as_its_int(select, state):
+    s = state()
+    for which in (1, 2):
+        assert np.array_equal(select(s, np.int64(which)), select(s, which))
+
+
 @pytest.mark.parametrize("read", [fano_extract, xstate_from_matrix])
 def test_the_four_level_readers_refuse_a_2x2_matrix(read):
     with pytest.raises(ValueError, match="dimension must be 4, got 2"):

@@ -406,3 +406,13 @@ def test_fano_coefficients_refuse_finite_fields_whose_squares_overflow(field):
             FanoCoefficients(**fields)
     name = "" if field is None else f" {field!r}"
     assert str(info.value) == f"Fano coefficients{name} are too large: the sum of their squared magnitudes overflows"
+
+
+@pytest.mark.parametrize("bits", [(True, 0), (1.0, 0), (0, False), (0, 1.0)])
+def test_pair_index_refuses_bits_that_are_not_integers(bits):
+    with pytest.raises(ValueError, match=r"^bit must be an integer, got "):
+        pair_index(*bits)
+
+
+def test_pair_index_takes_numpy_integers():
+    assert pair_index(np.int64(1), np.uint8(1)) == 3
