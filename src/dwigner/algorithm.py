@@ -15,26 +15,13 @@ import numpy as np
 from .generators import wigner_su4
 from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance
 
-_FOURIER = 0.5 * np.array(
-    [
-        [1, 1, 1, 1],
-        [1, 1j, -1, -1j],
-        [1, -1, 1, -1],
-        [1, -1j, -1, 1j],
-    ],
-    dtype=complex,
-)
+# F[j, k] = i^(jk) / 2, read from the four powers of i
+_FOURIER = 0.5 * np.array([1, 1j, -1, -1j], dtype=complex)[np.outer(np.arange(4), np.arange(4)) % 4]
 _FOURIER.flags.writeable = False
 
 _PULSES = {
-    # cyclic raise by one level
-    2: np.array(
-        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex
-    ),
-    # swap of levels 0 and 2
-    6: np.array(
-        [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
+    2: np.eye(4, dtype=complex)[[3, 0, 1, 2]],  # cyclic raise by one level
+    6: np.eye(4, dtype=complex)[[2, 1, 0, 3]],  # swap of levels 0 and 2
 }
 for _m in _PULSES.values():
     _m.flags.writeable = False

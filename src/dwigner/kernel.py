@@ -19,11 +19,12 @@ from .linalg import _bounded, _checked_integer, hermitian_matrix
 
 
 # Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
-# built on first use) instead of its factors.  Per wigner_grid + reconstruct call (Xeon, numpy
-# 2.4 with OpenBLAS on one thread), table time over shifted-profile step time, each the median
-# of 21 alternated rounds: 0.71 at n = 8, 0.92 at 10 and 1.10 at 12 for even n, where the steps
-# take one circulant product; 1.28 at 9, 1.48 at 11 and 1.79 at 13 for odd n, where they take
-# none (1.03 at 5, 1.11 at 7).  The table stays the path up to 11, so no grid there changes bits.
+# built from the factors on first use, see MappingKernel.ops) instead of its factors.  Per
+# wigner_grid + reconstruct call (Xeon, numpy 2.4 with OpenBLAS on one thread), table time over
+# shifted-profile step time, each the median of 21 alternated rounds: 0.71 at n = 8, 0.92 at 10
+# and 1.10 at 12 for even n, where the steps take one circulant product; 1.28 at 9, 1.48 at 11
+# and 1.79 at 13 for odd n, where they take none (1.03 at 5, 1.11 at 7).  One threshold serves
+# both parities, so at n = 9 and 11 the table path is the slower one.
 _TABLE_MAX = 11
 
 
@@ -160,13 +161,13 @@ class MappingKernel:
     all points is the identity; only that stack can be inverted by
     ``reconstruct``.  A stack given as ``ops`` must pass the package's
     acceptance rule, checked once.  ``kernel(n)`` carries ``factors`` instead
-    of a stack, at every n, and its read-only ``ops`` table is built only on
-    first access.  Above ``_TABLE_MAX`` (11), ``wigner_grid`` and
-    ``reconstruct`` evaluate it from the factors, shifted gathers and at most
-    one circulant product, in O(n^2) memory, and the table is never built;
-    up to 11, where one real product is faster than those steps, they read
-    the table's real rows like those of every other stack, so the first
-    call builds it (16 n^4 bytes).  Every stack in the package is
+    of a stack, at every n, and its read-only ``ops`` table is built from
+    them on first access, so the kernel has one definition.  Above
+    ``_TABLE_MAX`` (11), ``wigner_grid`` and ``reconstruct`` evaluate it
+    from the factors, shifted gathers and at most one circulant product, in
+    O(n^2) memory, and the table is never built; up to 11 they read the
+    table's real rows like those of every other stack, one real product, so
+    the first call builds it (16 n^4 bytes).  Every stack in the package is
     C-contiguous, so the real (cells, 2 n^2) rows that ``wigner_grid`` and
     ``reconstruct`` contract are a view of it, not a copy.
     """
@@ -181,8 +182,21 @@ class MappingKernel:
 
     @cached_property
     def ops(self) -> np.ndarray:
-        """The (*grid, n, n) stack; for ``kernel(n)``, its phase-point table built on first access."""
-        return _phase_point_table(self.dim)
+        """The (*grid, n, n) stack; for ``kernel(n)``, its phase-point table built on first access.
+
+        Each G(mu, nu) is the factored ``reconstruct`` of the unit grid n e_(mu, nu), so the table
+        comes from the factors alone, in O(n^5) time over the n^2 unit grids (about 1 ms at
+        n = 11, 21 ms at 32).
+        """
+        n = self.dim
+        ops = np.empty((n, n, n, n), dtype=complex)
+        unit = np.zeros((n, n))
+        for cell in np.ndindex(n, n):
+            unit[cell] = n
+            ops[cell] = _factored_reconstruct(unit, self.factors, n)
+            unit[cell] = 0.0
+        ops.flags.writeable = False
+        return ops
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -212,37 +226,6 @@ def _compose(t, rows, n: int) -> np.ndarray:
     return (t @ rows).view(complex).reshape(n, n)
 
 
-def _hermitizing_phases(n: int) -> np.ndarray:
-    # the unimodular weights h(eta, xi) that make every phase-point operator Hermitian, over the
-    # window, from index parity and zeros: for odd n, -1 where eta and xi are both odd; for even
-    # n, i where both are nonzero and eta + xi is odd; 1 elsewhere
-    idx = np.arange(n)
-    products = np.outer(idx, idx)
-    if n % 2 == 1:
-        return np.where(products % 2 == 1, -1.0, 1.0)
-    return np.where((products != 0) & ((idx[:, None] + idx) % 2 == 1), 1j, 1.0)
-
-
-def _cell_coefficients(n: int) -> np.ndarray:
-    # c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m), as one O(n^3) DFT-matrix product
-    idx = np.arange(n)
-    products = np.outer(idx, idx)
-    half = np.exp(1j * np.pi * (products % (2 * n)) / n)  # w^(eta xi / 2)
-    dft = np.exp(2j * np.pi * (products % n) / n)  # w^(m eta)
-    return dft @ (_hermitizing_phases(n) * half) / n
-
-
-def _phase_point_table(n: int) -> np.ndarray:
-    # G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi], xi = (k - j) mod n: O(n^4) in time and memory
-    c = _cell_coefficients(n)
-    idx = np.arange(n)
-    diff = (idx[None, :] - idx[:, None]) % n  # diff[a, b] = (b - a) mod n
-    shift = np.exp(-2j * np.pi * (np.multiply.outer(idx, diff) % n) / n)  # w^(-nu xi)[nu, j, k]
-    ops = c[diff[:, :, None], diff[None, :, :]][:, None] * shift[None]
-    ops.flags.writeable = False
-    return ops
-
-
 def _profile_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
     # the class of each column xi < n of c (0 delta, 1 two-point, 2 dense) and its shift s, as
     # c[m, xi] = profile[(m + s) mod n]: at odd n every column is a delta, s = xi (n + 1) / 2 mod n;
@@ -264,9 +247,11 @@ def kernel(n: int) -> MappingKernel:
     """Construct (and cache) the phase-point operator basis for dimension n.
 
     G(mu, nu) = n^(-1/2) sum_{eta, xi < n} w^(-(mu eta + nu xi)) h(eta, xi) S(eta, xi) over the
-    symmetrized basis S with hermitizing phase h.  As u^eta v^xi puts w^(eta j) at (j, j + xi),
-    G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi] with xi = (k - j) mod n and
-    c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m).  Every column of c is a cyclic
+    symmetrized basis S with the unimodular hermitizing phase h: at odd n, -1 where eta and xi
+    are both odd; at even n, i where both are nonzero and eta + xi is odd; 1 elsewhere.  As
+    u^eta v^xi puts w^(eta j) at (j, j + xi), G(mu, nu)[j, k] = w^(-nu xi) c[(j - mu) mod n, xi]
+    with xi = (k - j) mod n and c[m, xi] = (1/n) sum_eta h(eta, xi) w^(eta xi / 2 + eta m), the
+    closed form the tests hold the table to.  Every column of c is a cyclic
     shift of one of at most three profiles, c[m, xi] = p[(m + s) mod n].  At odd n every column
     is the delta at 0, with s = xi (n + 1) / 2 mod n, so each G(mu, nu) is a displaced parity
     with n nonzero entries, G(0, 0) being |k> -> |-k> (Gross, J. Math. Phys. 47, 122107 (2006)).
@@ -277,9 +262,10 @@ def kernel(n: int) -> MappingKernel:
     67, 267 (2004)).  Every G is Hermitian, so c[(m + xi) mod n, -xi] = conj(c[m, xi]): for a
     Hermitian rho the correlated column n - xi is the conjugate of column xi, and the steps need
     only the half spectrum xi <= n / 2.  The kernel carries only the O(n^2)
-    ``PhasePointFactors`` of these steps, built in O(n^2) time; its ``ops`` table (O(n^4) time,
-    16 n^4 bytes) is built on first access, which ``wigner_grid`` and ``reconstruct`` make only
-    up to ``_TABLE_MAX`` (see ``MappingKernel``).  A bool or non-integer n raises
+    ``PhasePointFactors`` of these steps, built in O(n^2) time and holding the only definition of
+    G: its ``ops`` table (16 n^4 bytes) is ``reconstruct``'s factored steps on each unit grid,
+    O(n^5) in time, built on first access, which ``wigner_grid`` and ``reconstruct`` make only up
+    to ``_TABLE_MAX`` (see ``MappingKernel``).  A bool or non-integer n raises
     ``ValueError``, as does n < 2; the cache is keyed on int(n), so ``kernel(np.int64(4)) is
     kernel(4)``.
     """
@@ -313,8 +299,9 @@ def kernel(n: int) -> MappingKernel:
     circulant = np.zeros((0, 0), dtype=complex)  # no dense profile at odd n
     if n % 2 == 0:
         unfold[n:, kind[columns[:h]] == 1] = dft[:, h:] * value[h:].conj() / n
-        # the dense profile c[m, 1] = (1/n) sum_eta h(eta, 1) w^(eta / 2 + eta m), a length-n sum per m
-        phases = _hermitizing_phases(n)[:, 1] * np.exp(1j * np.pi * idx / n)
+        # the dense profile c[m, 1] = (1/n) sum_eta h(eta, 1) w^(eta / 2 + eta m), a length-n sum per
+        # m, where h(eta, 1) is i at even eta > 0 and 1 elsewhere
+        phases = np.where((idx % 2 == 0) & (idx > 0), 1j, 1.0) * np.exp(1j * np.pi * idx / n)
         profile = roots[np.outer(idx, idx) % n] @ phases / n
         circulant = profile.conj()[(idx[None, :] - idx[:, None]) % n]  # conj(p[(j - mu) mod n])
     tables = (gather, scatter, circulant, fold, spread.reshape(n, -1), unfold.view(float))
@@ -406,9 +393,15 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
         _bounded(w / math.sqrt(n), "grid values")
     if not kern._factored:
         return _compose(w.ravel(), kern._rows, n) / n
-    # conj(R)[j, xi] = (1/n) sum_mu conj(p[(j - mu) mod n]) sum_nu W(mu, nu) w^(nu xi) for xi < h,
-    # R read through the shifted gather: index arithmetic and the two-point constants in one real
-    # product, then the circulant's transpose on the dense columns
+    return _factored_reconstruct(w, f, n)
+
+
+def _factored_reconstruct(w: np.ndarray, f: PhasePointFactors, n: int) -> np.ndarray:
+    # (1/n) sum W(mu, nu) G(mu, nu) for a C-contiguous real grid w, as the adjoint of wigner_grid's
+    # steps: conj(R)[j, xi] = (1/n) sum_mu conj(p[(j - mu) mod n]) sum_nu W(mu, nu) w^(nu xi) for
+    # xi < h, R read through the shifted gather: index arithmetic and the two-point constants in
+    # one real product, then the circulant's transpose on the dense columns, then the scatter of
+    # R and of its conjugate to the mirror
     v = (w.take(f.spread) @ f.unfold).view(complex)
     q = _dense_columns(n)
     if q:

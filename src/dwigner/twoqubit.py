@@ -87,9 +87,11 @@ class FanoCoefficients:
 
 def pair_index(i: int, j: int) -> int:
     """Level of the four-level system matching basis state |i j> of the pair; bits are integers."""
-    if i not in (0, 1) or j not in (0, 1):
+    # 1.0 and True equal 1, so only the integer checks refuse them; an array's `in` is ambiguous,
+    # so it skips the range check and the integer checks refuse it too
+    if any(not isinstance(b, np.ndarray) and b not in (0, 1) for b in (i, j)):
         raise ValueError(f"bits must be 0 or 1, got ({i}, {j})")
-    _checked_integer("bit", i)  # 1.0 and True equal 1, so only this refuses them
+    _checked_integer("bit", i)
     _checked_integer("bit", j)
     return 2 * i + j
 
@@ -159,9 +161,11 @@ def reduced_density(f: FanoCoefficients, which: int) -> np.ndarray:
 
 def _qubit(which: int) -> int:
     # the qubit selector 1 or 2 as the index 0 or 1 of its polarization and of its half-sum rows
-    if which not in (1, 2):
+    # 1.0 and True equal 1, so only the integer check refuses them; an array's `in` is ambiguous,
+    # so it skips the range check and the integer check refuses it too
+    if not isinstance(which, np.ndarray) and which not in (1, 2):
         raise ValueError(f"qubit selector must be 1 or 2, got {which}")
-    _checked_integer("qubit selector", which)  # 1.0 and True equal 1, so only this refuses them
+    _checked_integer("qubit selector", which)
     return which - 1
 
 

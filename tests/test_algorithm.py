@@ -10,6 +10,7 @@ from dwigner import (
     run_parity_algorithm,
     wigner_su4,
 )
+from helpers import TYPED_FOURIER, TYPED_PULSES
 
 PSI1 = 0.5 * np.array([1, 1j, -1, -1j])
 
@@ -24,6 +25,13 @@ def test_fourier_columns():
     f = fourier4()
     np.testing.assert_allclose(f @ np.array([1, 0, 0, 0]), 0.5 * np.ones(4), atol=1e-15)
     np.testing.assert_allclose(f @ np.array([0, 1, 0, 0]), PSI1, atol=1e-15)
+
+
+def test_computed_fourier_and_pulses_are_the_typed_matrices_bit_for_bit():
+    # tobytes, so a signed zero in an imaginary part counts too
+    assert fourier4().tobytes() == TYPED_FOURIER.tobytes()
+    for k, typed in TYPED_PULSES.items():
+        assert permutation_pulse(k).tobytes() == typed.tobytes()
 
 
 def test_pulses_are_permutations():

@@ -20,11 +20,13 @@ from dwigner import (
 )
 from dwigner.generators import PAULI_X, PAULI_Y, PAULI_Z
 from dwigner.generators import su4_kernel
-from dwigner.kernel import _TABLE_MAX, MappingKernel, _clock_shift_coefficients, _hermitizing_phases
+from dwigner.kernel import _TABLE_MAX, MappingKernel, _clock_shift_coefficients
 from dwigner.linalg import validate_density
 from dwigner.twoqubit import pair_kernel
 from helpers import (
     STATE_GUARD_MESSAGE,
+    _hermitizing_phases,
+    _phase_point_table,
     clock_shift_sum,
     hermitizing_phase,
     random_density,
@@ -571,15 +573,26 @@ def test_reconstruct_inverts_a_grid_whose_squares_overflow_when_the_state_s_do_n
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_factored_kernel_matches_its_table(rng, n):
-    # an uncached kernel, so its n^4 table is freed after the test
+    # the table is the closed form, not kern.ops: that is built from the same factors.  An
+    # uncached kernel, so a table it builds is freed after the test
     kern = kernel.__wrapped__(n)
     rho = random_density(rng, n)
     w = rng.normal(size=(n, n))
     grid, back = wigner_grid(rho, kern), reconstruct(w, kern)
     assert n <= _TABLE_MAX or "ops" not in vars(kern)
-    expected = np.einsum("...ij,ij->...", kern.ops.conj(), rho).real
+    table = _phase_point_table(n)
+    expected = np.einsum("...ij,ij->...", table.conj(), rho).real
     np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(back, np.einsum("mn,mnij->ij", w, kern.ops) / n, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(back, np.einsum("mn,mnij->ij", w, table) / n, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_kernel_table_built_from_the_factors_is_the_closed_form(n):
+    # an uncached kernel, so its n^4 table is freed after the test; row by row, so the comparison
+    # holds no third table
+    ops, table = kernel.__wrapped__(n).ops, _phase_point_table(n)
+    for mu in range(n):
+        np.testing.assert_allclose(ops[mu], table[mu], rtol=0, atol=1e-14, err_msg=f"mu = {mu}")
 
 
 @pytest.mark.parametrize("n", (13, 16, 17, 32, 33))

@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 from dwigner import kernel, reconstruct, wigner_grid
-from dwigner.kernel import _TABLE_MAX, _cell_coefficients, _phase_point_table
-from helpers import dft_steps_reconstruct, dft_steps_wigner_grid, random_density, table_einsum_transforms
+from dwigner.kernel import _TABLE_MAX
+from helpers import (
+    _cell_coefficients,
+    _phase_point_table,
+    dft_steps_reconstruct,
+    dft_steps_wigner_grid,
+    random_density,
+    table_einsum_transforms,
+)
 
 
 def _shift(xi, n):

@@ -280,7 +280,11 @@ SELECTORS = pytest.mark.parametrize(
 
 
 @SELECTORS
-@pytest.mark.parametrize("which", [1.0, 2.0, True, np.float64(2.0)], ids=["float-1", "float-2", "bool", "numpy-float-2"])
+@pytest.mark.parametrize(
+    "which",
+    [1.0, 2.0, True, np.float64(2.0), np.array([1, 2])],
+    ids=["float-1", "float-2", "bool", "numpy-float-2", "array"],
+)
 def test_a_qubit_selector_that_is_not_an_integer_is_refused(select, state, which):
     # 1.0 and True equal 1, so only the integer check tells them from the selector 1
     with pytest.raises(ValueError, match=r"^qubit selector must be an integer, got "):

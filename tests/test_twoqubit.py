@@ -408,7 +408,9 @@ def test_fano_coefficients_refuse_finite_fields_whose_squares_overflow(field):
     assert str(info.value) == f"Fano coefficients{name} are too large: the sum of their squared magnitudes overflows"
 
 
-@pytest.mark.parametrize("bits", [(True, 0), (1.0, 0), (0, False), (0, 1.0)])
+@pytest.mark.parametrize(
+    "bits", [(True, 0), (1.0, 0), (0, False), (0, 1.0), (np.array([0, 1]), 0), (1, np.array([0, 1]))]
+)
 def test_pair_index_refuses_bits_that_are_not_integers(bits):
     with pytest.raises(ValueError, match=r"^bit must be an integer, got "):
         pair_index(*bits)
