@@ -8,7 +8,8 @@ and ``validate`` (density-matrix diagnostics).
 
 Exit codes: 0 on success, 1 on validation/data failure, 2 on usage
 errors, a matrix file of the wrong dimension for the representation
-among them.  The environment variable DWIGNER_TOLERANCE overrides the
+and an ``algorithm --noise`` outside [0, 1] (NaN included) among them.
+The environment variable DWIGNER_TOLERANCE overrides the
 default validation tolerance of 1e-10, the tolerance of the trace-moment
 inequalities ``validate`` prints, and the X-pattern tolerance of
 ``delta --rep xstate`` and ``marginals``; it must be finite and >= 0.
@@ -265,6 +266,9 @@ def _cmd_marginals(args) -> int:
 
 
 def _cmd_algorithm(args) -> int:
+    # run_parity_algorithm's rule and text, held before numpy loads; tests/test_cli.py ties the two
+    if not 0.0 <= args.noise <= 1.0:
+        raise UsageError(f"noise must lie in [0, 1], got {args.noise}")
     from .algorithm import run_parity_algorithm
 
     trace = run_parity_algorithm(pulse=args.pulse, noise=args.noise)

@@ -25,7 +25,9 @@ import numpy as np
 from .kernel import (
     MappingKernel, _clock_shift, _clock_shift_coefficients, _compose, _per_dimension, _real_rows, wigner_grid
 )
-from .linalg import DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance, hermitian_matrix
+from .linalg import (
+    DEFAULT_TOLERANCE, _bounded, _checked_integer, _checked_tolerance, _real_array, hermitian_matrix
+)
 
 
 def _gell_mann(n: int) -> tuple[np.ndarray, ...]:
@@ -233,7 +235,7 @@ def density_from_bloch(components, n: int) -> np.ndarray:
     The sum is the transpose of ``bloch_vector``'s read: the components times
     the same real rows of ``generators(n)``, read back as complex entries.
     """
-    v = np.asarray(components, dtype=float)
+    v = _real_array(components, "components")
     gs = _generators_for(v, n)
     return _bloch_density(_bounded(v, "components", shown=components), gs)
 
@@ -323,7 +325,7 @@ def wigner_su2(p) -> np.ndarray:
     phase-point kernel is the qubit convention.  A |P|^2 that is not
     finite raises ``ValueError`` before the unit-ball check.
     """
-    p = np.asarray(p, dtype=float)
+    p = _real_array(p, "components")
     if p.shape != (3,):
         raise ValueError(f"expected a 3-component polarization vector, got shape {p.shape}")
     norm_sq = float(np.vdot(p, p))

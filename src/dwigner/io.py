@@ -17,8 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .kernel import _check_grid
-from .linalg import _square_matrix
+from .linalg import _check_grid, _square_matrix
 
 GRID_FORMATS = ("csv", "json", "gnuplot")
 
@@ -34,7 +33,9 @@ def serialize_matrix(m) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
-def _check_matrix_rows(rows, key: str, dim: int) -> None:
+def _matrix_field(rows, key: str, dim: int) -> np.ndarray:
+    # one field of the matrix format in one pass, its first fault named: the row count and row
+    # lengths, then the entry types, then finiteness
     if not isinstance(rows, list) or len(rows) != dim:
         count = len(rows) if isinstance(rows, list) else rows
         raise ValueError(f"field {key!r} must have {dim} rows, got {count!r}")
@@ -46,15 +47,15 @@ def _check_matrix_rows(rows, key: str, dim: int) -> None:
             )
     if not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES:
         raise ValueError(f"field {key!r} has entries that are not JSON numbers")
-
-
-def _check_matrix_finite(rows, key: str) -> None:
     try:
-        finite = np.isfinite(np.array(rows, dtype=float)).all()
-    except OverflowError:
+        part = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond the float range
         finite = False
+    else:
+        finite = np.isfinite(part).all()
     if not finite:
         raise ValueError(f"field {key!r} has non-finite entries")
+    return part
 
 
 def parse_matrix(text) -> np.ndarray:
@@ -63,11 +64,12 @@ def parse_matrix(text) -> np.ndarray:
     Reports malformed syntax with line/column positions, ragged rows with
     the offending row index, and dimension mismatches with both sizes;
     rejects a non-integer (or boolean) dimension, and entries that are not
-    finite JSON numbers (strings, booleans, nulls, lists, objects).  The
-    checks run field by field, 're' before 'im', so a file with several
-    faults reports the first.  Both fields are read into one float array,
-    and the result takes them as its real and imaginary parts, signed
-    zeros included.
+    finite JSON numbers (strings, booleans, nulls, lists, objects).  Each
+    field is checked in one pass, 're' before 'im': its row count and row
+    lengths, then its entry types, then its finiteness, so a file with
+    several faults reports the first.  Each field is read into a float
+    array, and the result takes the two as its real and imaginary parts,
+    signed zeros included.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -83,23 +85,9 @@ def parse_matrix(text) -> np.ndarray:
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"field 'dim' must be a positive integer, got {dim!r}")
-    _check_matrix_rows(doc["re"], "re", dim)
-    try:
-        _check_matrix_rows(doc["im"], "im", dim)
-    except ValueError:
-        _check_matrix_finite(doc["re"], "re")  # a non-finite 're' is the earlier fault
-        raise
-    try:
-        parts = np.array([doc["re"], doc["im"]], dtype=float)
-        finite = np.isfinite(parts).all()
-    except OverflowError:
-        finite = False
-    if not finite:
-        _check_matrix_finite(doc["re"], "re")
-        _check_matrix_finite(doc["im"], "im")
     m = np.empty((dim, dim), dtype=complex)
-    m.real = parts[0]
-    m.imag = parts[1]
+    m.real = _matrix_field(doc["re"], "re", dim)
+    m.imag = _matrix_field(doc["im"], "im", dim)
     return m
 
 
@@ -127,7 +115,8 @@ def emit_grid(values, fmt: str = "csv") -> str:
     Formats: ``csv`` with an index header, ``json`` with explicit column
     names, or ``gnuplot`` whitespace columns with a blank line between
     blocks of the leading index.  A NaN or infinite value raises
-    ``ValueError``, as ``parse_grid`` would refuse it.  The text is one
+    ``ValueError``, as ``parse_grid`` would refuse it, and so does a
+    complex grid with a nonzero imaginary part.  The text is one
     template per shape and format, built on first use and cached, filled
     with the shortest round-trip rendering of each value, so equal grids
     give byte-identical text.

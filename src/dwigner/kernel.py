@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import _bounded, _checked_integer, hermitian_matrix
+from .linalg import _bounded, _check_grid, _checked_integer, _real_array, hermitian_matrix
 
 
 # Largest n at which kernel(n) is evaluated through the real rows of its table (16 n^4 bytes,
@@ -354,9 +354,11 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     """Invert a phase-space grid back to the operator (1/n) sum W(p) G(p).
 
     A grid whose sum W^2 / n, the sum |rho_ij|^2 of the matrix it maps, is
-    not finite raises ``ValueError``.  Only the trace-orthogonal ``kernel(n)``
-    is inverted; any other stack (the pair or four-level closed-form stacks)
-    raises.  Up to ``_TABLE_MAX`` (11) the sum is the transpose of
+    not finite raises ``ValueError``, and so does a complex grid with a
+    nonzero imaginary part (one whose imaginary part is all zero reads as
+    its real part).  Only the trace-orthogonal ``kernel(n)`` is inverted;
+    any other stack (the pair or four-level closed-form stacks) raises.
+    Up to ``_TABLE_MAX`` (11) the sum is the transpose of
     ``wigner_grid``'s one real product: the grid times the table's real
     rows, read as complex entries and divided by n, exact because the family
     is trace-orthogonal with Tr[G† G] = n.  This is the package's one compose
@@ -378,7 +380,7 @@ def reconstruct(values, kern: MappingKernel | None = None) -> np.ndarray:
     list, is read by index, taken in C order, so every order gives the same
     bits.
     """
-    w = np.ascontiguousarray(values, dtype=float)
+    w = np.ascontiguousarray(_real_array(values, "grid values"))
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square grid, got shape {w.shape}")
     if kern is None:
@@ -409,15 +411,6 @@ def _factored_reconstruct(w: np.ndarray, f: PhasePointFactors, n: int) -> np.nda
     return np.concatenate((v, v.conj())).take(f.scatter)
 
 
-def _check_grid(values) -> np.ndarray:
-    w = np.asarray(values, dtype=float)
-    if w.ndim == 2 and w.shape[0] == w.shape[1] and w.size:
-        return w
-    if w.shape == (2, 2, 2, 2):
-        return w
-    raise ValueError(f"expected an N x N grid or a 2x2x2x2 pair grid, got shape {w.shape}")
-
-
 def grid_overlap(wa, wb) -> float:
     """Tr[rho sigma] recovered from two phase-space grids.
 
@@ -426,7 +419,8 @@ def grid_overlap(wa, wb) -> float:
     cells).  The sum of products is one ``vdot``, with no temporary
     product grid; a grid in any memory order (a transposed or strided
     view) pairs its values by index.  An overlap that is not finite
-    raises ``ValueError``, naming a NaN or infinite value or finite ones too large.
+    raises ``ValueError``, naming a NaN or infinite value or finite ones too large,
+    and so does a complex grid with a nonzero imaginary part.
     """
     a = _check_grid(wa)
     b = _check_grid(wb)

@@ -50,6 +50,31 @@ def _bounded(a, what: str, total: float | None = None, shown=None):
     return a
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    # the one read of every real array input: a float array passes on a dtype test; a complex one
+    # is refused for a nonzero imaginary part, and read as its real part when that is all zero;
+    # anything else is cast as given, so numpy's own message names a string or a ragged list
+    a = np.asarray(values)
+    if a.dtype == float:
+        return a
+    if a.dtype.kind == "c":
+        if np.count_nonzero(a.imag):
+            peak = np.abs(a.imag).max()
+            raise ValueError(f"{what} must be real, got an imaginary part of magnitude {peak:.3e}")
+        values = a.real
+    return np.asarray(values, dtype=float)
+
+
+def _check_grid(values) -> np.ndarray:
+    # the one shape rule of every grid input: an N x N grid or a 2x2x2x2 pair grid, read as reals
+    w = _real_array(values, "grid values")
+    if w.ndim == 2 and w.shape[0] == w.shape[1] and w.size:
+        return w
+    if w.shape == (2, 2, 2, 2):
+        return w
+    raise ValueError(f"expected an N x N grid or a 2x2x2x2 pair grid, got shape {w.shape}")
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a square complex matrix whose sum of |a_ij|^2 is finite, or raise ValueError.
 

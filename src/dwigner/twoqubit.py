@@ -25,7 +25,7 @@ import numpy as np
 
 from .generators import _bloch_density, _generators_for, generators, su4_kernel
 from .kernel import MappingKernel, _compose, _real_rows, kernel, wigner_grid
-from .linalg import DensityMatrix, _bounded, _checked_integer, hermitian_matrix, validate_density
+from .linalg import DensityMatrix, _bounded, _checked_integer, _real_array, hermitian_matrix, validate_density
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -46,9 +46,9 @@ class FanoCoefficients:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a = _real_array(self.a, "Fano coefficients 'a'")
+        b = _real_array(self.b, "Fano coefficients 'b'")
+        c = _real_array(self.c, "Fano coefficients 'c'")
         if a.shape != (3,) or b.shape != (3,) or c.shape != (3, 3):
             raise ValueError(
                 f"expected shapes (3,), (3,), (3, 3); got {a.shape}, {b.shape}, {c.shape}"
@@ -306,5 +306,5 @@ def density_from_su4_coefficients(coeffs) -> np.ndarray:
     halved into ``density_from_bloch``'s components, and a refusal echoes
     them; the components are not checked again.
     """
-    v = _bounded(np.asarray(coeffs, dtype=float), "components", shown=coeffs) / 2.0
+    v = _bounded(_real_array(coeffs, "components"), "components", shown=coeffs) / 2.0
     return _bloch_density(v, _generators_for(v, 4))

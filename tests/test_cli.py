@@ -11,6 +11,7 @@ import pytest
 
 import dwigner
 from dwigner import bell, parse_grid, parse_matrix, serialize_matrix, validate_density, werner, wigner_su4
+from dwigner.algorithm import run_parity_algorithm
 from dwigner.cli import build_parser, main
 from helpers import random_density, random_xstate
 
@@ -204,6 +205,23 @@ def test_json_errors_flag(capsys):
 def test_missing_file_is_data_error(capsys):
     assert main(["wigner", "--input", "/nonexistent/m.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["2", "nan", "-1"])
+def test_algorithm_noise_outside_the_unit_interval_is_a_usage_error(noise, capsys):
+    with pytest.raises(ValueError) as refused:  # the CLI's pre-numpy check keeps the library's text
+        run_parity_algorithm(pulse=2, noise=float(noise))
+    message = str(refused.value)
+    assert main(["algorithm", "--pulse", "2", "--noise", noise]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["--json-errors", "algorithm", "--pulse", "2", "--noise", noise]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message, "kind": "usage"}
+
+
+@pytest.mark.parametrize("noise", ["0", "1"])
+def test_algorithm_noise_at_the_ends_of_the_unit_interval_runs(noise, capsys):
+    assert main(["algorithm", "--pulse", "2", "--noise", noise]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exit_code(capsys):

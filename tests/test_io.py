@@ -339,6 +339,11 @@ def test_parse_matrix_rejects_an_integer_beyond_float_range():
         parse_matrix('{"dim":1,"re":[[%s]],"im":[[0]]}' % ("1" + "0" * 400))
 
 
+def test_parse_matrix_reads_finite_entries_whose_squares_overflow():
+    m = parse_matrix('{"dim":2,"re":[[1e200,0],[0,-1.5e300]],"im":[[0,2e250],[-2e250,0]]}')
+    assert m.tolist() == [[1e200, 2e250j], [-2e250j, -1.5e300]]
+
+
 FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 json_leaves = (

@@ -67,6 +67,11 @@ def test_import_loads_neither_numpy_nor_a_submodule():
     assert _loaded_after("import dwigner") == {"dwigner"}
 
 
+def test_io_loads_no_package_module_but_linalg():
+    loaded = _loaded_after("import dwigner.io")
+    assert {name for name in loaded if name.split(".")[0] == "dwigner"} == {"dwigner", "dwigner.io", "dwigner.linalg"}
+
+
 def test_all_lists_the_names_the_package_exported():
     assert sorted(dwigner.__all__) == EXPORTED
     assert set(EXPORTED) <= set(dir(dwigner))
@@ -140,6 +145,7 @@ def test_kernel_and_generators_stay_functions_whatever_the_import_order(imports)
         ["wigner", "--input", "rho.json", "--rep", "bogus"],
         ["algorithm", "--pulse", "3"],
         ["state", "--name", "nosuch:1"],
+        ["algorithm", "--pulse", "2", "--noise", "2"],
     ],
 )
 def test_cli_refusals_return_before_numpy_loads(argv):
@@ -164,7 +170,7 @@ def test_cli_validate_loads_only_the_modules_it_runs(tmp_path):
     )
     loaded = _loaded_after(code)
     assert "numpy" in loaded
-    assert not loaded & {"dwigner.generators", "dwigner.twoqubit", "dwigner.states", "dwigner.algorithm"}
+    assert not loaded & {"dwigner.kernel", "dwigner.generators", "dwigner.twoqubit", "dwigner.states", "dwigner.algorithm"}
 
 
 def test_cli_grid_formats_match_the_library():

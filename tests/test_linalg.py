@@ -7,11 +7,17 @@ import pytest
 from dwigner import (
     DensityMatrix,
     DensityMatrixError,
+    FanoCoefficients,
     bloch_vector,
+    density_from_bloch,
+    density_from_su4_coefficients,
+    emit_grid,
     fano_extract,
+    grid_overlap,
     hermitian_eigenvalues,
     positivity_inequalities,
     purity,
+    reconstruct,
     state_overlap,
     super_fidelity,
     trace_product,
@@ -19,6 +25,7 @@ from dwigner import (
     werner,
     wigner_grid,
     wigner_pair_from_matrix,
+    wigner_su2,
     wigner_su4,
     xstate_from_matrix,
 )
@@ -492,3 +499,51 @@ def test_density_matrix_constructor_refuses_an_empty_matrix():
         lambda: DensityMatrix(matrix=EMPTY),
         r"^a DensityMatrix holds a non-empty square matrix, got shape \(0, 0\)$",
     )
+
+
+GRID = wigner_grid(werner(0.3))
+POLARIZATION = np.array([0.3, -0.2, 0.1])
+# every reader of a real array: the call, a real input it accepts, and the name its refusals give
+REAL_READERS = {
+    "reconstruct": (reconstruct, GRID, "grid values"),
+    "grid_overlap": (lambda w: grid_overlap(w, GRID), GRID, "grid values"),
+    "emit_grid": (emit_grid, GRID, "grid values"),
+    "wigner_su2": (wigner_su2, POLARIZATION, "components"),
+    "density_from_bloch": (lambda v: density_from_bloch(v, 2), POLARIZATION, "components"),
+    "FanoCoefficients": (
+        lambda a: FanoCoefficients(a=a, b=np.zeros(3), c=np.eye(3) / 4)._vector,
+        POLARIZATION,
+        "Fano coefficients 'a'",
+    ),
+    "density_from_su4_coefficients": (density_from_su4_coefficients, np.linspace(-0.1, 0.1, 15), "components"),
+}
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("call, real, what", REAL_READERS.values(), ids=REAL_READERS)
+def test_real_readers_refuse_a_nonzero_imaginary_part(call, real, what, as_list):
+    values = real + 0.5j * (np.arange(real.size) == 1).reshape(real.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call(values.tolist() if as_list else values)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{what} must be real, got an imaginary part of magnitude 5.000e-01"
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("call, real, what", REAL_READERS.values(), ids=REAL_READERS)
+def test_real_readers_read_an_all_zero_imaginary_part_as_the_real_array(call, real, what, as_list):
+    values = real - 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(values.tolist() if as_list else values)
+    assert np.array_equal(got, call(real))
+
+
+def test_real_readers_keep_numpys_message_for_a_string_and_read_none_as_nan():
+    with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        wigner_su2("abc")
+    with pytest.raises(ValueError) as info:
+        density_from_bloch([None, 0, 0], 2)
+    assert str(info.value) == "components must be finite, got [None, 0, 0]"
